@@ -8,7 +8,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine_microbench.py                 # full tier
     PYTHONPATH=src python benchmarks/bench_engine_microbench.py --tier smoke    # CI-sized
-    PYTHONPATH=src python benchmarks/bench_engine_microbench.py --tier scale    # 1000 devices, 1M requests
     PYTHONPATH=src python benchmarks/bench_engine_microbench.py --write         # refresh baseline
     PYTHONPATH=src python benchmarks/bench_engine_microbench.py --check         # fail below baseline
 
@@ -19,19 +18,15 @@ Workloads
   The queue-pop count is analytic (``N * (M + 2)``: one start event, M
   timeouts, one process-completion event per process), so events/sec is
   comparable across engine versions regardless of internal changes.
-* ``device``     — the same closed-loop storage workload measured two
-  ways: ``device_requests_per_sec`` runs it through the vectorized
-  :class:`~repro.simcore.vectorized.DeviceBank` (many devices batched
-  per numpy tick — the 1000-node path), and
-  ``device_eventloop_requests_per_sec`` through the event-driven
-  ``repro.storage.device`` dispatch (one device, per-request Python).
+* ``device``     — closed-loop workers on one HDD device
+  (``device_eventloop_requests_per_sec``): the event-driven
+  ``repro.storage.device`` submit/complete dispatch.
 * ``interrupts`` — processes that are repeatedly interrupted mid-wait:
   the ``_interrupts`` queue path in ``Process._resume``.
 
-Tiers: ``full`` (default) and ``smoke`` cover all workloads; ``scale``
-runs only the bank at cluster size — 1000 devices x 8 workers x 1000
-requests = 1M requests — and is gated in CI with its own (looser)
-tolerance recorded in ``BENCH_engine.json``.
+Tiers: ``full`` (default) and ``smoke`` (CI-sized) run every workload.
+These numbers time engine primitives on their own; scenario wall time
+and its per-layer split come from ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -51,11 +46,6 @@ BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.j
 
 #: fail --check when a metric drops more than this fraction below baseline
 REGRESSION_TOLERANCE = 0.20
-
-#: per-tier tolerance overrides, recorded into the baseline on --write;
-#: the scale tier mixes a 1M-request numpy solve with allocator noise,
-#: so it gets more headroom than the steady microbenches.
-TIER_TOLERANCE = {"scale": 0.30}
 
 
 # ----------------------------------------------------------------- workloads
@@ -95,32 +85,6 @@ def bench_device(n_workers: int, n_requests: int) -> float:
     return total / elapsed
 
 
-def bench_device_bank(n_devices: int, n_workers: int, n_requests: int) -> float:
-    """Requests/sec through the vectorized device bank.
-
-    Same closed-loop workload shape as :func:`bench_device` (each worker
-    alternates write/read at 1 MiB), but ``n_devices`` devices are
-    solved in one batch — the path the 1000-node scale tier exercises.
-    """
-    import numpy as np
-
-    from repro.simcore.vectorized import DeviceBank
-
-    bank = DeviceBank(HDD_PROFILE, n_devices=n_devices)
-    chunk = 1 << 20
-    # Per-worker request i has op ("read" if i % 2 else "write"); with
-    # round-robin submits the global index k maps to i = k // workers.
-    is_write = (np.arange(n_requests) // n_workers) % 2 == 0
-    t0 = time.perf_counter()
-    res = bank.run_closed_loop(
-        n_requests, chunk, is_write=is_write, workers=n_workers
-    )
-    elapsed = time.perf_counter() - t0
-    assert res.total_requests == n_devices * n_requests
-    assert float(res.makespan.min()) > 0.0
-    return res.total_requests / elapsed
-
-
 def bench_interrupts(n_pairs: int, n_rounds: int) -> float:
     """Interrupt deliveries/sec through the ``_interrupts`` queue path."""
     sim = Simulator()
@@ -151,44 +115,20 @@ def bench_interrupts(n_pairs: int, n_rounds: int) -> float:
 
 
 # ------------------------------------------------------------------- driver
-#: workload sizes per tier; ``bank`` is (devices, workers, requests/device)
+#: workload sizes per tier
 TIER_PARAMS = {
-    "smoke": dict(
-        timeouts=(200, 50),
-        device=(8, 500),
-        interrupts=(100, 20),
-        bank=(16, 8, 500),
-    ),
-    "full": dict(
-        timeouts=(1000, 200),
-        device=(8, 5000),
-        interrupts=(500, 100),
-        bank=(64, 8, 2000),
-    ),
-    # The ROADMAP's 1000-node target: one batched solve, >= 1M requests.
-    "scale": dict(bank=(1000, 8, 1000)),
+    "smoke": dict(timeouts=(200, 50), device=(8, 500), interrupts=(100, 20)),
+    "full": dict(timeouts=(1000, 200), device=(8, 5000), interrupts=(500, 100)),
 }
 
 
 def run_suite(tier: str, repeats: int) -> dict[str, float]:
     params = TIER_PARAMS[tier]
-    benches: dict[str, object] = {}
-    if "bank" in params:
-        benches["device_requests_per_sec"] = (
-            lambda: bench_device_bank(*params["bank"])
-        )
-    if "timeouts" in params:
-        benches["timeouts_events_per_sec"] = (
-            lambda: bench_timeouts(*params["timeouts"])
-        )
-    if "device" in params:
-        benches["device_eventloop_requests_per_sec"] = (
-            lambda: bench_device(*params["device"])
-        )
-    if "interrupts" in params:
-        benches["interrupts_per_sec"] = (
-            lambda: bench_interrupts(*params["interrupts"])
-        )
+    benches = {
+        "timeouts_events_per_sec": lambda: bench_timeouts(*params["timeouts"]),
+        "device_eventloop_requests_per_sec": lambda: bench_device(*params["device"]),
+        "interrupts_per_sec": lambda: bench_interrupts(*params["interrupts"]),
+    }
     results: dict[str, float] = {}
     for name, fn in benches.items():
         best = max(fn() for _ in range(repeats))
@@ -208,9 +148,7 @@ def check_against_baseline(results: dict[str, float], mode: str) -> int:
         print(f"no '{mode}' baseline in {BASELINE_PATH}; "
               f"run with --write first", file=sys.stderr)
         return 2
-    tolerance = baseline.get(
-        "tolerance", payload.get("tolerance", REGRESSION_TOLERANCE)
-    )
+    tolerance = payload.get("tolerance", REGRESSION_TOLERANCE)
     baseline = baseline["metrics"]
     failed = False
     for name, base in baseline.items():
@@ -240,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="write results to BENCH_engine.json")
     parser.add_argument("--check", action="store_true",
                         help="compare against BENCH_engine.json; exit 1 on "
-                             "a regression beyond the tier's tolerance")
+                             "a regression beyond the tolerance")
     args = parser.parse_args(argv)
     if args.tier and args.smoke and args.tier != "smoke":
         parser.error("--smoke conflicts with --tier " + args.tier)
@@ -257,8 +195,6 @@ def main(argv: list[str] | None = None) -> int:
             "metrics": results,
             "python": platform.python_version(),
         }
-        if tier in TIER_TOLERANCE:
-            payload[tier]["tolerance"] = TIER_TOLERANCE[tier]
         BASELINE_PATH.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"{tier} baseline written to {BASELINE_PATH}")
     if args.check:

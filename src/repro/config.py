@@ -73,10 +73,6 @@ class StorageProfile:
     #   "ps"   — equal processor sharing of W(n) (a network pipe).
     discipline: str = "ps"
 
-    #: Concurrency covered by the precomputed rate tables below; callers
-    #: fall back to :meth:`rate_at` past this depth.
-    LUT_DEPTH = 256
-
     def __post_init__(self):
         if self.peak_rate <= 0:
             raise ValueError("peak_rate must be positive")
@@ -88,38 +84,6 @@ class StorageProfile:
             raise ValueError("flush_factor must be in (0, 1]")
         if self.discipline not in ("ps", "fcfs"):
             raise ValueError(f"unknown discipline {self.discipline!r}")
-        # Derived constants, computed once per profile instead of per
-        # current_rate() call.  Set via object.__setattr__ because the
-        # dataclass is frozen; they are not fields, so equality, hashing
-        # and to_dict() see only the declared parameters.  Every entry
-        # keeps the exact float expression the device model historically
-        # evaluated (association matters for bit-identical goldens):
-        #   rate_lut[n]       = rate_at(n)
-        #   storm_rate_lut[n] = rate_at(n) * flush_factor
-        #   ps_rate_lut[n]    = rate_at(n) / n          (per-flow share)
-        #   ps_storm_lut[n]   = (rate_at(n) * flush_factor) / n
-        rate = tuple(self.rate_at(n) for n in range(self.LUT_DEPTH + 1))
-        ff = self.flush_factor
-        object.__setattr__(self, "rate_lut", rate)
-        object.__setattr__(
-            self, "storm_rate_lut", tuple(r * ff for r in rate)
-        )
-        object.__setattr__(
-            self,
-            "ps_rate_lut",
-            (0.0,) + tuple(r / n for n, r in enumerate(rate) if n > 0),
-        )
-        object.__setattr__(
-            self,
-            "ps_storm_lut",
-            (0.0,) + tuple((r * ff) / n for n, r in enumerate(rate) if n > 0),
-        )
-        object.__setattr__(
-            self, "op_cost", {"read": self.read_cost, "write": self.write_cost}
-        )
-        object.__setattr__(
-            self, "write_read_ratio", self.write_cost / self.read_cost
-        )
 
     def rate_at(self, n: int) -> float:
         """Aggregate service rate with ``n`` requests in flight."""

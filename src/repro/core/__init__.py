@@ -1,7 +1,5 @@
 """IBIS — the paper's contribution.
 
-* :mod:`repro.core.tags` / :mod:`repro.core.request` — application-tagged
-  I/O requests across the three interposed classes (§3).
 * :mod:`repro.core.base` — scheduler interface, native FIFO passthrough.
 * :mod:`repro.core.sfq` — SFQ and SFQ(D) proportional sharing (§4).
 * :mod:`repro.core.sfqd2` — SFQ(D2): feedback-controlled dynamic depth (§4).
@@ -17,6 +15,10 @@
 * :mod:`repro.core.interposition` — per-datanode interposition points
   wiring I/O classes to schedulers and devices (§3).
 * :mod:`repro.core.metrics` — fairness/slowdown metrics used throughout §7.
+
+The application-tagged request types (:class:`IOTag`, :class:`IOClass`,
+:class:`IORequest`, §3) are defined in :mod:`repro.dataplane` and exported
+here too, for the framework layers that tag their I/O.
 """
 
 from repro.core.base import IOScheduler, NativeScheduler, SchedulerStats
@@ -37,10 +39,9 @@ from repro.core.registry import (
     policy_names,
     register_scheduler,
 )
-from repro.core.request import IORequest
 from repro.core.sfq import SFQDScheduler
 from repro.core.sfqd2 import DepthController, SFQD2Scheduler
-from repro.core.tags import IOClass, IOTag
+from repro.dataplane import IOClass, IORequest, IOTag
 
 __all__ = [
     "BrokerClient",

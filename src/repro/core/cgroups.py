@@ -25,9 +25,9 @@ from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.base import IOScheduler
-from repro.core.request import IORequest
 from repro.core.sfq import SFQDScheduler
-from repro.core.tags import IOClass
+from repro.dataplane.request import IORequest
+from repro.dataplane.tags import IOClass
 from repro.simcore import Simulator
 from repro.storage import IOCompletion, StorageDevice
 from repro.telemetry import TelemetryBus

@@ -30,7 +30,7 @@ import repro.core.sfqd2         # noqa: F401  (sfq(d2))
 import repro.core.cgroups       # noqa: F401  (cgroups-weight/-throttle)
 import repro.core.reservation   # noqa: F401  (reservation)
 from repro.core.sfqd2 import DepthController
-from repro.core.tags import IOClass
+from repro.dataplane.tags import IOClass
 
 __all__ = ["NodePolicy", "PolicySpec", "canonical_json", "policy_from_dict"]
 

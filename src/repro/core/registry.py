@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.core.tags import IOClass
+from repro.dataplane.tags import IOClass
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.base import IOScheduler

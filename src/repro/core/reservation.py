@@ -19,7 +19,7 @@ from collections import deque
 from typing import Optional
 
 from repro.core.base import IOScheduler
-from repro.core.request import IORequest
+from repro.dataplane.request import IORequest
 from repro.simcore import Simulator
 from repro.storage import IOCompletion, StorageDevice
 from repro.telemetry import TelemetryBus

@@ -17,7 +17,7 @@ import heapq
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.base import IOScheduler
-from repro.core.request import IORequest
+from repro.dataplane.request import IORequest
 from repro.simcore import Simulator
 from repro.storage import IOCompletion, StorageDevice
 from repro.telemetry import TelemetryBus

@@ -81,8 +81,8 @@ class ResultStore:
 
     @classmethod
     def default(cls) -> "ResultStore":
-        """The store under the shared cache root (``$REPRO_CACHE_DIR``,
-        ``$IBIS_CACHE_DIR``, or ``~/.cache/ibis-repro``)."""
+        """The store under the shared cache root (``$REPRO_CACHE_DIR``
+        or ``~/.cache/ibis-repro``)."""
         from repro.experiments.harness import calibration_cache_dir
 
         return cls(calibration_cache_dir() / "results")

@@ -85,12 +85,10 @@ _CALIBRATION_VERSION = 1
 
 
 def calibration_cache_dir() -> pathlib.Path:
-    """Disk-cache location: ``$REPRO_CACHE_DIR``, else ``$IBIS_CACHE_DIR``
-    (the historical name), else ``~/.cache/ibis-repro``."""
-    for var in ("REPRO_CACHE_DIR", "IBIS_CACHE_DIR"):
-        override = os.environ.get(var)
-        if override:
-            return pathlib.Path(override)
+    """Disk-cache location: ``$REPRO_CACHE_DIR``, else ``~/.cache/ibis-repro``."""
+    override = os.environ.get("REPRO_CACHE_DIR")
+    if override:
+        return pathlib.Path(override)
     return pathlib.Path.home() / ".cache" / "ibis-repro"
 
 
@@ -128,21 +126,18 @@ def _store_calibration(path: pathlib.Path, ctrl: DepthController) -> None:
 def controller_for(config: ClusterConfig, **kwargs) -> DepthController:
     """Cached ``calibrate_controller`` (one profiling pass per setup).
 
-    Set ``IBIS_NO_CALIB_CACHE=1`` to bypass the disk layer (the
-    in-process cache is always on).
+    Point ``REPRO_CACHE_DIR`` at an empty directory to start without
+    the disk layer's entries (the in-process cache is always on).
     """
     key = (config.storage, config.io_chunk, tuple(sorted(kwargs.items())))
     ctrl = _CONTROLLERS.get(key)
     if ctrl is not None:
         return ctrl
-    use_disk = os.environ.get("IBIS_NO_CALIB_CACHE") != "1"
-    path = _calibration_path(config, dict(kwargs)) if use_disk else None
-    if path is not None:
-        ctrl = _load_calibration(path)
+    path = _calibration_path(config, dict(kwargs))
+    ctrl = _load_calibration(path)
     if ctrl is None:
         ctrl = calibrate_controller(config, **kwargs)
-        if path is not None:
-            _store_calibration(path, ctrl)
+        _store_calibration(path, ctrl)
     _CONTROLLERS[key] = ctrl
     return ctrl
 

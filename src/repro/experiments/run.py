@@ -160,12 +160,8 @@ def _write_profile(profiler, name: str,
 
 def _result_store(args) -> ResultStore | None:
     """The persistent manifest store the CLI routes through — disabled
-    by ``--no-store`` or ``REPRO_RESULT_STORE=0``."""
-    import os
-
+    by ``--no-store``."""
     if getattr(args, "no_store", False):
-        return None
-    if os.environ.get("REPRO_RESULT_STORE") == "0":
         return None
     return ResultStore.default()
 

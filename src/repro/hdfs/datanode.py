@@ -16,10 +16,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core import DataNodeIO, IOClass, IORequest, IOTag
-
-# Deprecated re-exports: the chunking/windowing primitives moved into
-# the dataplane (every streaming entry point shares them, not just
-# HDFS).  Import them from repro.dataplane.streams in new code.
 from repro.dataplane.streams import iter_chunks, windowed_stream
 from repro.hdfs.blocks import BlockLocations
 from repro.net import NetFabric
@@ -29,7 +25,7 @@ from repro.telemetry import REPLICA_FAILOVER, ReplicaFailover, TelemetryBus
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultInjector, FaultPlan
 
-__all__ = ["BlockService", "iter_chunks", "windowed_stream"]
+__all__ = ["BlockService"]
 
 
 class BlockService:

@@ -347,12 +347,6 @@ class Scenario:
         """A copy under another name (sweep variants)."""
         return replace(self, name=name)
 
-    def with_overrides(self, **cluster_fields: Any) -> "Scenario":
-        """A copy with cluster fields replaced (CLI --scale etc.)."""
-        data = self.cluster.to_dict()
-        data.update(cluster_fields)
-        return replace(self, cluster=ClusterConfig.from_dict(data))
-
     # ------------------------------------------------------- serialization
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {

@@ -1,7 +1,7 @@
 """Discrete-event simulation core.
 
 A small, dependency-free discrete-event engine in the style of SimPy:
-generator-coroutine processes scheduled over a binary-heap event queue,
+generator-coroutine processes scheduled over a bucketed event wheel,
 with deterministic tie-breaking, counting resources, stores, and
 instrumentation primitives (time series, rate meters).
 
@@ -22,13 +22,12 @@ from repro.simcore.engine import (
 from repro.simcore.instrument import Counter, RateMeter, TimeSeries
 from repro.simcore.resources import Gate, Resource, Store
 from repro.simcore.rng import RngRegistry
-from repro.simcore.wheel import EventWheel, HeapEventQueue
+from repro.simcore.wheel import EventWheel
 
 __all__ = [
     "Counter",
     "Event",
     "EventWheel",
-    "HeapEventQueue",
     "FaultError",
     "Gate",
     "Interrupt",

@@ -3,7 +3,7 @@
 The engine is deliberately minimal but complete enough to host the whole
 IBIS cluster simulation:
 
-* :class:`Simulator` owns the clock and a binary-heap event queue with
+* :class:`Simulator` owns the clock and a bucketed event wheel with
   deterministic ``(time, sequence)`` ordering, so two runs with the same
   seeds produce identical traces.
 * :class:`Event` is a one-shot occurrence that callbacks (or processes)
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.simcore.wheel import EventWheel, HeapEventQueue, WITHDRAWN
+from repro.simcore.wheel import EventWheel, WITHDRAWN
 
 __all__ = [
     "Event",
@@ -429,14 +429,12 @@ class Simulator:
     Ordering is by ``(time, sequence)`` where ``sequence`` is a global
     monotonically increasing counter, making runs fully deterministic.
     The queue is an :class:`~repro.simcore.wheel.EventWheel` (calendar
-    queue with lazy per-bucket sorting and tombstone compaction); pass
-    ``queue=HeapEventQueue()`` to run on the reference binary heap —
-    pop order is identical by construction.
+    queue with lazy per-bucket sorting and tombstone compaction).
     """
 
-    def __init__(self, queue: "EventWheel | HeapEventQueue | None" = None):
+    def __init__(self):
         self.now: float = 0.0
-        self._queue = queue if queue is not None else EventWheel()
+        self._queue = EventWheel()
         self._active: Optional[Process] = None
         self._defunct: list[Process] = []  # failed processes, checked in run()
         #: orphaned processes killed by an injected fault (no joiner);
@@ -520,25 +518,23 @@ class Simulator:
         # fast-path guard, so falling back to ``pop()`` (which settles:
         # skips tombstones, refills from buckets, handles slot demotion)
         # is always correct.
-        queue = self._queue
-        pop = queue.pop
+        wheel = self._queue
+        pop = wheel.pop
         defunct = self._defunct
-        wheel = queue if type(queue) is EventWheel else None
         if isinstance(until, Event):
             stop_ev = until
             while stop_ev._state != _PROCESSED:
                 entry = None
-                if wheel is not None:
-                    cur = wheel._cur
-                    i = wheel._cur_i
-                    if i < len(cur):
-                        head = cur[i]
-                        if head[2]._state != _WITHDRAWN:
-                            slots = wheel._slots
-                            if not slots or slots[0] > wheel._cur_slot:
-                                wheel._cur_i = i + 1
-                                wheel._live -= 1
-                                entry = head
+                cur = wheel._cur
+                i = wheel._cur_i
+                if i < len(cur):
+                    head = cur[i]
+                    if head[2]._state != _WITHDRAWN:
+                        slots = wheel._slots
+                        if not slots or slots[0] > wheel._cur_slot:
+                            wheel._cur_i = i + 1
+                            wheel._live -= 1
+                            entry = head
                 if entry is None:
                     entry = pop()
                     if entry is None:
@@ -553,19 +549,18 @@ class Simulator:
         horizon = float("inf") if until is None else float(until)
         while True:
             entry = None
-            if wheel is not None:
-                cur = wheel._cur
-                i = wheel._cur_i
-                if i < len(cur):
-                    head = cur[i]
-                    if head[2]._state != _WITHDRAWN:
-                        slots = wheel._slots
-                        if not slots or slots[0] > wheel._cur_slot:
-                            if head[0] > horizon:
-                                break
-                            wheel._cur_i = i + 1
-                            wheel._live -= 1
-                            entry = head
+            cur = wheel._cur
+            i = wheel._cur_i
+            if i < len(cur):
+                head = cur[i]
+                if head[2]._state != _WITHDRAWN:
+                    slots = wheel._slots
+                    if not slots or slots[0] > wheel._cur_slot:
+                        if head[0] > horizon:
+                            break
+                        wheel._cur_i = i + 1
+                        wheel._live -= 1
+                        entry = head
             if entry is None:
                 entry = pop(horizon)
                 if entry is None:

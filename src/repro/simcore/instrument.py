@@ -37,9 +37,6 @@ class TimeSeries:
     def __iter__(self):
         return iter(zip(self.times, self.values))
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
-
     def value_at(self, t: float) -> float:
         """Step-function lookup: the last recorded value at or before t."""
         if not self.times:

@@ -22,8 +22,8 @@ the binary heap it replaces, including same-timestamp tie-breaks: the
 wheel assigns the same monotonically increasing sequence numbers in the
 same call order, slot scaling is monotone, and entries within a slot
 are sorted by the same tuple.  ``tests/simcore/test_wheel_equivalence.py``
-drives both implementations through randomized schedule/withdraw
-sequences and asserts identical pop sequences.
+keeps that heap as a reference, drives both through randomized
+schedule/withdraw sequences and asserts identical pop sequences.
 
 Tombstones
 ----------
@@ -44,12 +44,11 @@ from heapq import heapify, heappop, heappush
 from math import ldexp, frexp
 from typing import Any
 
-__all__ = ["EventWheel", "HeapEventQueue", "WITHDRAWN"]
+__all__ = ["EventWheel", "WITHDRAWN"]
 
 #: Event ``_state`` value marking a queued-but-dead entry.  Defined here
-#: (not in engine.py) because the queue implementations are the only
-#: code that writes or tests it; the engine imports it for its state
-#: table.  It compares greater than PROCESSED on purpose: a withdrawn
+#: (not in engine.py) because the queue is the only code that writes or
+#: tests it; the engine imports it for its state table.  It compares greater than PROCESSED on purpose: a withdrawn
 #: event can never fire again.
 WITHDRAWN = 3
 
@@ -261,83 +260,6 @@ class EventWheel:
         self._cur_i = 0
         self._slots = list(buckets)
         heapify(self._slots)
-        self._tombstones -= swept
-        self.tombstones_compacted += swept
-        return swept
-
-
-class HeapEventQueue:
-    """Reference binary-heap queue with the same API as the wheel.
-
-    This is the engine's original data structure, kept (a) as the
-    oracle for the wheel-equivalence property tests and (b) as a
-    drop-in alternative (``Simulator(queue=HeapEventQueue())``) for
-    debugging suspected queue issues.
-    """
-
-    __slots__ = ("_heap", "_seq", "_live", "_tombstones", "tombstones_compacted")
-
-    def __init__(self):
-        self._heap: list[tuple[float, int, Any]] = []
-        self._seq = 0
-        self._live = 0
-        self._tombstones = 0
-        self.tombstones_compacted = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    @property
-    def tombstones(self) -> int:
-        return self._tombstones
-
-    def push(self, when: float, ev: Any) -> int:
-        self._seq = seq = self._seq + 1
-        self._live += 1
-        heappush(self._heap, (when, seq, ev))
-        return seq
-
-    def _settle(self) -> bool:
-        heap = self._heap
-        while heap:
-            if heap[0][2]._state == WITHDRAWN:
-                heappop(heap)
-                self._tombstones -= 1
-                continue
-            return True
-        return False
-
-    def pop(self, limit: float = _INF):
-        if not self._settle():
-            return None
-        if self._heap[0][0] > limit:
-            return None
-        self._live -= 1
-        return heappop(self._heap)
-
-    def peek(self) -> float:
-        if not self._settle():
-            return _INF
-        return self._heap[0][0]
-
-    def withdraw(self, ev: Any) -> None:
-        ev._state = WITHDRAWN
-        ev.callbacks = None
-        self._live -= 1
-        t = self._tombstones + 1
-        self._tombstones = t
-        if t > _MIN_SWEEP and t > self._live:
-            self.compact()
-
-    def compact(self) -> int:
-        heap = self._heap
-        keep = [e for e in heap if e[2]._state != WITHDRAWN]
-        swept = len(heap) - len(keep)
-        heapify(keep)
-        self._heap = keep
         self._tombstones -= swept
         self.tombstones_compacted += swept
         return swept

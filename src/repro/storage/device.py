@@ -46,6 +46,9 @@ __all__ = ["IOCompletion", "StorageDevice"]
 
 _EPS = 1e-12
 
+#: In-flight counts the rate tables cover up front; they double on demand.
+_INITIAL_DEPTH = 16
+
 
 @dataclass(frozen=True)
 class IOCompletion:
@@ -91,18 +94,9 @@ class StorageDevice:
         self._last_target = 0.0       # fcfs: cumulative work target tail
         self._fcfs = profile.discipline == "fcfs"
 
-        # Hot-path caches: the precomputed per-profile rate tables (see
-        # StorageProfile.__post_init__) and per-op work costs, bound once
-        # so the dispatch loop does tuple indexing instead of attribute
-        # chains and float arithmetic.  The LUTs encode rate_factor == 1.0;
-        # fault-degraded devices take the original arithmetic path.
-        self._rate_lut = profile.rate_lut
-        self._progress_lut = profile.rate_lut if self._fcfs else profile.ps_rate_lut
-        self._progress_storm_lut = (
-            profile.storm_rate_lut if self._fcfs else profile.ps_storm_lut
-        )
-        self._lut_depth = profile.LUT_DEPTH
-        self._op_cost = profile.op_cost
+        # Hot-path caches: per-op work costs, bound once so the dispatch
+        # loop does indexing instead of attribute chains.
+        self._op_cost = {"read": profile.read_cost, "write": profile.write_cost}
         self._request_overhead = profile.request_overhead
         self._flush_factor = profile.flush_factor
 
@@ -110,10 +104,10 @@ class StorageDevice:
         self._written_since_flush = 0.0
 
         # Fault-injection state: a rate multiplier (fail-slow disks) and
-        # a failure marker.  Both stay at their identity values in every
-        # healthy run, so the fault layer costs one float multiply.
+        # a failure marker.  The factor is folded into the rate tables.
         self._rate_factor = 1.0
         self._failed: Optional[BaseException] = None
+        self._build_rates(_INITIAL_DEPTH)
 
         # Completion-tick dispatch: every submit/complete reschedules the
         # next tick.  The superseded tick is withdrawn from the event
@@ -161,25 +155,12 @@ class StorageDevice:
             entry.target_v = self._v + work
         self._seq += 1
         heappush(self._heap, (entry.target_v, self._seq, entry))
+        if len(self._heap) == len(self._rates):
+            self._build_rates(2 * len(self._rates))
         if op == "write":
             self._note_write(nbytes)
         self._reschedule()
         return ev
-
-    def current_rate(self) -> float:
-        """Aggregate service rate right now (work units / second)."""
-        n = len(self._heap)
-        if self._rate_factor == 1.0 and n <= self._lut_depth:
-            # x * 1.0 is exact, so the LUT entries (which fold the
-            # storm factor in the historical association) match the
-            # arithmetic below bit for bit.
-            if self.sim.now < self._storm_until:
-                return self.profile.storm_rate_lut[n]
-            return self._rate_lut[n]
-        rate = self.profile.rate_at(n) * self._rate_factor
-        if self.sim.now < self._storm_until:
-            rate *= self.profile.flush_factor
-        return rate
 
     @property
     def in_storm(self) -> bool:
@@ -202,6 +183,7 @@ class StorageDevice:
             return
         self._advance()
         self._rate_factor = factor
+        self._build_rates(len(self._rates))
         self._reschedule()
 
     def fail(self, exc: BaseException) -> None:
@@ -227,17 +209,28 @@ class StorageDevice:
         self._v_updated = self.sim.now
 
     # ----------------------------------------------------------- internals
-    def _progress_rate(self) -> float:
-        """Rate at which the virtual work time V advances."""
-        n = len(self._heap)
-        if n == 0:
-            return 0.0
-        if self._rate_factor == 1.0 and n <= self._lut_depth:
-            if self.sim.now < self._storm_until:
-                return self._progress_storm_lut[n]
-            return self._progress_lut[n]
-        rate = self.current_rate()
-        return rate if self._fcfs else rate / n
+    def _build_rates(self, depth: int) -> None:
+        """Tabulate the rate at which V advances, by in-flight count
+        ``0..depth-1``: ``_rates`` normally, ``_storm_rates`` during a
+        flush storm.  Each entry is ``rate_at(n) * rate_factor``, then
+        ``* flush_factor`` in a storm, then ``/ n`` under PS.  The figure
+        goldens pin this float association; on a healthy device the
+        factor of 1.0 leaves every product exact."""
+        rate_at = self.profile.rate_at
+        factor = self._rate_factor
+        flush = self._flush_factor
+        rates = [0.0]
+        storm = [0.0]
+        for n in range(1, depth):
+            r = rate_at(n) * factor
+            s = r * flush
+            if not self._fcfs:
+                r /= n
+                s /= n
+            rates.append(r)
+            storm.append(s)
+        self._rates = rates
+        self._storm_rates = storm
 
     def _advance(self) -> None:
         """Bring the virtual work time up to ``sim.now``.
@@ -251,12 +244,7 @@ class StorageDevice:
         if now > t:
             n = len(self._heap)
             if n > 0:
-                if self._rate_factor == 1.0 and n <= self._lut_depth:
-                    base = self._progress_lut[n]
-                else:
-                    base = self.profile.rate_at(n) * self._rate_factor
-                    if not self._fcfs:
-                        base /= n
+                base = self._rates[n]
                 storm_end = self._storm_until
                 if t < storm_end:
                     seg_end = min(now, storm_end)
@@ -285,14 +273,10 @@ class StorageDevice:
         heap = self._heap
         if not heap:
             return
-        n = len(heap)
-        if self._rate_factor == 1.0 and n <= self._lut_depth:
-            if self.sim.now < self._storm_until:
-                rate = self._progress_storm_lut[n]
-            else:
-                rate = self._progress_lut[n]
+        if self.sim.now < self._storm_until:
+            rate = self._storm_rates[len(heap)]
         else:
-            rate = self._progress_rate()
+            rate = self._rates[len(heap)]
         if rate <= 0:
             raise RuntimeError(f"device {self.name}: zero rate with work queued")
         target_v = heap[0][0]

@@ -41,10 +41,7 @@ def test_cache_dir_honours_repro_cache_dir(monkeypatch, tmp_path):
     from repro.experiments.harness import calibration_cache_dir
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "new"))
-    monkeypatch.setenv("IBIS_CACHE_DIR", str(tmp_path / "old"))
     assert calibration_cache_dir() == tmp_path / "new"
-    monkeypatch.delenv("REPRO_CACHE_DIR")
-    assert calibration_cache_dir() == tmp_path / "old"
 
 
 def test_controller_cache_reuses_calibration():

@@ -60,22 +60,6 @@ def test_parallel_jobs_nested_keeps_outer_pool():
     assert active_jobs() == 1
 
 
-def test_experiments_parallel_is_a_deprecation_shim():
-    """The old module keeps working but warns, and every symbol is the
-    same object as its repro.execution.pool home."""
-    import importlib
-    import sys
-
-    sys.modules.pop("repro.experiments.parallel", None)
-    with pytest.warns(DeprecationWarning, match="repro.execution"):
-        shim = importlib.import_module("repro.experiments.parallel")
-    import repro.execution.pool as pool
-
-    for name in ("RunSpec", "active_jobs", "default_jobs", "execute",
-                 "parallel_jobs", "run_specs"):
-        assert getattr(shim, name) is getattr(pool, name)
-
-
 # ------------------------------------------------- figure-level determinism
 def test_figure_parallel_output_is_byte_identical():
     """The acceptance property: a figure regenerated through the worker
@@ -90,9 +74,7 @@ def test_figure_parallel_output_is_byte_identical():
 # ------------------------------------------------------- calibration cache
 @pytest.fixture
 def calib_env(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.setenv("IBIS_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("IBIS_NO_CALIB_CACHE", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     saved = dict(harness._CONTROLLERS)
     harness._CONTROLLERS.clear()
     yield tmp_path
@@ -134,10 +116,3 @@ def test_calibration_cache_corrupt_entry_recalibrates(calib_env):
     entry.write_text("{not json")
     harness._CONTROLLERS.clear()
     assert harness.controller_for(config) == ctrl  # silently re-profiled
-
-
-def test_calibration_cache_disabled_by_env(calib_env, monkeypatch):
-    monkeypatch.setenv("IBIS_NO_CALIB_CACHE", "1")
-    config = default_cluster(scale=1.0 / 2048.0)
-    harness.controller_for(config)
-    assert list(calib_env.glob("calib-*.json")) == []

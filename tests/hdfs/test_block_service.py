@@ -4,8 +4,9 @@ import pytest
 
 from repro.config import MB, default_cluster
 from repro.core import DataNodeIO, IOClass, IOTag, PolicySpec
+from repro.dataplane.streams import iter_chunks, windowed_stream
 from repro.hdfs.blocks import Block, BlockLocations
-from repro.hdfs.datanode import BlockService, iter_chunks, windowed_stream
+from repro.hdfs.datanode import BlockService
 from repro.net import NetFabric
 from repro.simcore import Simulator
 

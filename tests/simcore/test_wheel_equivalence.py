@@ -1,7 +1,7 @@
 """Property test: the event wheel is observationally a binary heap.
 
 Random schedule/pop/withdraw sequences are applied to an
-:class:`EventWheel` and the reference :class:`HeapEventQueue` in
+:class:`EventWheel` and the reference :class:`HeapEventQueue` below in
 lockstep; every pop must return the identical ``(when, seq, event)``
 entry — including same-timestamp tie-breaks, which is the determinism
 invariant the figure goldens rest on.  A second layer runs a real
@@ -10,18 +10,77 @@ compares the observable trace.
 """
 
 import random
+from heapq import heapify, heappop, heappush
 
 import pytest
 
 from repro.config import HDD_PROFILE, MB
-from repro.simcore import (
-    EventWheel,
-    HeapEventQueue,
-    Interrupt,
-    Simulator,
-)
-from repro.simcore.wheel import WITHDRAWN
+from repro.simcore import EventWheel, Interrupt, Simulator
+from repro.simcore.wheel import _MIN_SWEEP, WITHDRAWN
 from repro.storage.device import StorageDevice
+
+
+class HeapEventQueue:
+    """The engine's original binary-heap queue: the wheel's oracle.
+
+    Same push/pop/peek/withdraw/compact surface and the same tombstone
+    accounting as :class:`EventWheel`; pop order is ``(when, seq)``.
+    """
+
+    __slots__ = ("_heap", "_seq", "_live", "_tombstones", "tombstones_compacted")
+
+    def __init__(self):
+        self._heap = []
+        self._seq = 0
+        self._live = 0
+        self._tombstones = 0
+        self.tombstones_compacted = 0
+
+    def __len__(self):
+        return self._live
+
+    @property
+    def tombstones(self):
+        return self._tombstones
+
+    def push(self, when, ev):
+        self._seq = seq = self._seq + 1
+        self._live += 1
+        heappush(self._heap, (when, seq, ev))
+        return seq
+
+    def _settle(self):
+        heap = self._heap
+        while heap and heap[0][2]._state == WITHDRAWN:
+            heappop(heap)
+            self._tombstones -= 1
+        return bool(heap)
+
+    def pop(self, limit=float("inf")):
+        if not self._settle() or self._heap[0][0] > limit:
+            return None
+        self._live -= 1
+        return heappop(self._heap)
+
+    def peek(self):
+        return self._heap[0][0] if self._settle() else float("inf")
+
+    def withdraw(self, ev):
+        ev._state = WITHDRAWN
+        ev.callbacks = None
+        self._live -= 1
+        self._tombstones += 1
+        if self._tombstones > _MIN_SWEEP and self._tombstones > self._live:
+            self.compact()
+
+    def compact(self):
+        keep = [e for e in self._heap if e[2]._state != WITHDRAWN]
+        swept = len(self._heap) - len(keep)
+        heapify(keep)
+        self._heap = keep
+        self._tombstones -= swept
+        self.tombstones_compacted += swept
+        return swept
 
 
 class _Ev:
@@ -129,10 +188,15 @@ def test_compaction_triggers_and_preserves_order():
     assert len(out_q) == 200
 
 
-def _scripted_simulation(queue):
+def _scripted_simulation(queue, use_run):
     """A deliberately messy model: sleeps, interrupts, device I/O, and
-    abandoned timeouts, all racing on shared timestamps."""
-    sim = Simulator(queue=queue)
+    abandoned timeouts, all racing on shared timestamps.
+
+    With ``use_run`` the model runs through :meth:`Simulator.run` and its
+    inlined wheel pop; otherwise a plain ``peek``/``step`` loop drives it
+    to the same horizon, which works on any queue."""
+    sim = Simulator()
+    sim._queue = queue  # before the device binds the queue's withdraw
     dev = StorageDevice(sim, HDD_PROFILE, name="d0")
     trace = []
 
@@ -160,27 +224,20 @@ def _scripted_simulation(queue):
     workers = [sim.process(io_worker(f"w{i}", 6), name=f"w{i}")
                for i in range(4)]
     sim.process(meddler(sleepers), name="meddler")
-    sim.run(until=30.0)
+    if use_run:
+        sim.run(until=30.0)
+    else:
+        while sim.peek() <= 30.0:
+            sim.step()
+        sim.now = 30.0
     trace.append((sim.now, "queue", len(queue)))
     return trace
 
 
 def test_full_simulation_identical_on_both_queues():
-    wheel_trace = _scripted_simulation(EventWheel())
-    heap_trace = _scripted_simulation(HeapEventQueue())
-    assert wheel_trace == heap_trace
-
-
-def test_simulator_accepts_heap_queue():
-    sim = Simulator(queue=HeapEventQueue())
-    out = []
-    def p():
-        yield sim.timeout(1.5)
-        out.append(sim.now)
-    sim.process(p())
-    sim.run()
-    assert out == [1.5]
-    assert sim.tombstones_compacted == 0
+    heap_trace = _scripted_simulation(HeapEventQueue(), use_run=False)
+    assert _scripted_simulation(EventWheel(), use_run=False) == heap_trace
+    assert _scripted_simulation(EventWheel(), use_run=True) == heap_trace
 
 
 def test_withdrawn_state_is_terminal():
