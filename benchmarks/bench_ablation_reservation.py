@@ -8,32 +8,18 @@ scenario."""
 
 from repro.config import GB, default_cluster
 from repro.core import PolicySpec
-from repro.core.reservation import ReservationScheduler
 from repro.cluster import BigDataCluster
 from repro.experiments import ExperimentResult, controller_for
 from repro.experiments.harness import total_throughput_mbs
 from repro.workloads import teragen, wordcount
 
 
-def _install_reservations(cluster: BigDataCluster, reservations, nominal):
-    """Swap every interposed scheduler for a ReservationScheduler."""
-    for node in cluster.nodes.values():
-        for io_class, old in list(node.schedulers.items()):
-            node.schedulers[io_class] = ReservationScheduler(
-                cluster.sim, old.device, reservations, nominal,
-                name=f"{node.node_id}:{io_class.value}:resv",
-            )
-
-
 def run_ablation():
     config = default_cluster()
     result = ExperimentResult("ablation_reservation")
 
-    def wc_run(policy, reservations=None):
+    def wc_run(policy):
         cluster = BigDataCluster(config, policy)
-        if reservations is not None:
-            _install_reservations(cluster, reservations,
-                                  nominal=config.storage.peak_rate)
         cluster.preload_input("/in/wiki", 50 * GB)
         wc = cluster.submit(wordcount(config, "/in/wiki"),
                             io_weight=32.0, max_cores=48)
@@ -54,8 +40,12 @@ def run_ablation():
     wc, thr = wc_run(PolicySpec.sfqd2(controller_for(config)))
     result.row(case="sfq(d2)", slowdown=wc.runtime / standalone - 1.0,
                throughput_mbs=thr)
-    wc, thr = wc_run(PolicySpec.native(),
-                     reservations={"wordcount": 0.6, "teragen": 0.3})
+    # Built through the policy registry like every other case, so the
+    # reservation scheduler sits on each node's I/O paths.
+    wc, thr = wc_run(PolicySpec(kind="reservation", params={
+        "reservations": {"wordcount": 0.6, "teragen": 0.3},
+        "nominal_rate": config.storage.peak_rate,
+    }))
     result.row(case="reservation", slowdown=wc.runtime / standalone - 1.0,
                throughput_mbs=thr)
     return result

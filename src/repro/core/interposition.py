@@ -23,7 +23,8 @@ INTERMEDIATE class (§6).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Union
 
 from repro.config import ClusterConfig
 from repro.core.base import IOScheduler
@@ -80,14 +81,20 @@ class DataNodeIO:
                 broker=broker,
                 telemetry=self.telemetry,
             )
-        self.schedulers: dict[IOClass, IOScheduler] = {
-            io_class: path.scheduler for io_class, path in self.paths.items()
-        }
         self.broker_clients: list[BrokerClient] = [
             path.broker_client
             for path in self.paths.values()
             if path.broker_client is not None
         ]
+
+    @property
+    def schedulers(self) -> Mapping[IOClass, IOScheduler]:
+        """Read-only view of each class's scheduler.  Requests route
+        through :attr:`paths`, so a scheduler is swapped by building the
+        node with another policy, never by assigning in here."""
+        return MappingProxyType(
+            {io_class: path.scheduler for io_class, path in self.paths.items()}
+        )
 
     # ------------------------------------------------------------------ api
     def submit(self, req: IORequest) -> Event:

@@ -1,15 +1,12 @@
-"""The execution core: one submission → execute → result pipeline.
+"""The execution core: scenarios → store or worker pool → manifests.
 
-Everything that runs a scenario — the figure functions, the
-``run scenario`` CLI (serial, ``--jobs N``, ``--sweep`` grids), and the
-long-running scenario service (:mod:`repro.service`) — routes through
-:class:`ExecutionCore`:
+The figure functions and the ``run scenario`` CLI (serial, ``--jobs N``,
+``--sweep`` grids) route through :class:`ExecutionCore`:
 
-* :class:`~repro.execution.submission.Submission` — a scenario plus run
-  options, identified by the scenario's ``content_hash``;
 * :class:`~repro.execution.store.ResultStore` — persistent manifests
-  keyed by content hash under ``$REPRO_CACHE_DIR``; repeated
-  submissions are cache hits and interrupted sweeps resume;
+  keyed by scenario content hash under ``$REPRO_CACHE_DIR``; repeated
+  scenarios are cache hits and interrupted sweeps resume.  The scenario
+  service (:mod:`repro.service`) answers repeats from the same store;
 * :mod:`~repro.execution.pool` — the shared process-pool backend with
   the by-spec-order determinism guarantee.
 
@@ -21,7 +18,7 @@ from repro.execution.atomic import (
     atomic_write_text,
     fsync_dir,
 )
-from repro.execution.core import ExecutionCore, execute_scenarios
+from repro.execution.core import ExecutionCore
 from repro.execution.pool import (
     RunSpec,
     active_jobs,
@@ -36,7 +33,6 @@ from repro.execution.store import (
     ResultStore,
     ResultStoreError,
 )
-from repro.execution.submission import Submission, as_submission, cluster_key
 
 __all__ = [
     "RESULT_SCHEMA",
@@ -45,15 +41,11 @@ __all__ = [
     "ResultStore",
     "ResultStoreError",
     "RunSpec",
-    "Submission",
     "active_jobs",
-    "as_submission",
     "atomic_write_json",
     "atomic_write_text",
-    "cluster_key",
     "default_jobs",
     "execute",
-    "execute_scenarios",
     "fsync_dir",
     "parallel_jobs",
     "run_specs",

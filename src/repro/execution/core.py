@@ -1,39 +1,41 @@
-"""The one execution core every run path routes through.
+"""The execution core the one-shot run paths share.
 
-``ExecutionCore.run`` takes an ordered batch of submissions (bare
-scenarios coerce) and returns their manifests **in submission order**:
+``ExecutionCore.run`` takes an ordered batch of scenarios and returns
+their manifests **in input order**:
 
-1. cacheable submissions are looked up in the optional persistent
-   :class:`~repro.execution.store.ResultStore` (and deduplicated within
-   the batch — the same content hash executes at most once);
+1. with an optional persistent
+   :class:`~repro.execution.store.ResultStore`, each scenario is looked
+   up by content hash (and deduplicated within the batch — the same
+   content hash executes at most once);
 2. the misses fan out over the shared worker pool
    (:func:`~repro.execution.pool.run_specs`, activated by
    :func:`~repro.execution.pool.parallel_jobs`);
 3. fresh manifests are persisted before the batch returns, so an
    interrupted sweep grid resumes with only its missing cells.
 
-Figures, the ``run scenario`` CLI (``--jobs N`` and ``--sweep`` grids),
-and the scenario service all call exactly this method; there is no
-other dispatch path.  Without a store the core degrades to the plain
-deterministic fan-out, byte-identical to running
-:func:`~repro.scenario.runner.run_scenario` in a loop.
+The figures and the ``run scenario`` CLI (``--jobs N`` and ``--sweep``
+grids) call this method.  The scenario service (:mod:`repro.service`)
+does not: it shares the store and :func:`~repro.scenario.runner.
+run_scenario`, but runs batches on its own warm workers.  Without a
+store the core degrades to the plain deterministic fan-out,
+byte-identical to running :func:`~repro.scenario.runner.run_scenario`
+in a loop.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.execution.pool import RunSpec, run_specs
 from repro.execution.store import ResultStore
-from repro.execution.submission import Submission, as_submission
 from repro.scenario.runner import RunManifest, run_scenario
 from repro.scenario.spec import Scenario
 
-__all__ = ["ExecutionCore", "execute_scenarios"]
+__all__ = ["ExecutionCore"]
 
 
 class ExecutionCore:
-    """Submission → (store | worker pool) → manifest, in order."""
+    """Scenarios → (store | worker pool) → manifests, in order."""
 
     def __init__(self, store: Optional[ResultStore] = None):
         self.store = store
@@ -41,27 +43,18 @@ class ExecutionCore:
         self.cache_hits = 0
         self.executed = 0
 
-    # ---------------------------------------------------------------- run
-    def run(
-        self, submissions: Sequence[Union[Submission, Scenario]]
-    ) -> list[RunManifest]:
-        """Run a batch; manifests come back in submission order.
-
-        A submission whose ``trace_path`` is a live stream (not a path)
-        is not picklable and therefore runs in-process even under an
-        active pool — pass paths when fanning traced runs out.
-        """
-        subs = [as_submission(s) for s in submissions]
-        manifests: list[Optional[RunManifest]] = [None] * len(subs)
+    def run(self, scenarios: Sequence[Scenario]) -> list[RunManifest]:
+        """Run a batch; manifests come back in input order."""
+        manifests: list[Optional[RunManifest]] = [None] * len(scenarios)
 
         # Store lookups + within-batch dedup (only with a store: the
-        # bare fan-out keeps strict one-run-per-submission semantics).
+        # bare fan-out keeps strict one-run-per-scenario semantics).
         pending: list[int] = []
         first_of: dict[str, int] = {}
         aliases: list[tuple[int, int]] = []
-        for i, sub in enumerate(subs):
-            if self.store is not None and sub.cacheable:
-                key = sub.content_hash
+        for i, scenario in enumerate(scenarios):
+            if self.store is not None:
+                key = scenario.content_hash()
                 prior = first_of.get(key)
                 if prior is not None:
                     aliases.append((i, prior))
@@ -75,33 +68,17 @@ class ExecutionCore:
                 first_of[key] = i
             pending.append(i)
 
-        specs = []
-        for i in pending:
-            sub = subs[i]
-            kwargs = {}
-            if sub.trace_path is not None:
-                kwargs["trace_path"] = sub.trace_path
-            specs.append(
-                RunSpec.of(run_scenario, sub.scenario, label=sub.label,
-                           **kwargs)
-            )
+        specs = [RunSpec.of(run_scenario, scenarios[i], label=scenarios[i].name)
+                 for i in pending]
         for i, manifest in zip(pending, run_specs(specs)):
             manifests[i] = manifest
             self.executed += 1
-            if self.store is not None and subs[i].cacheable:
+            if self.store is not None:
                 self.store.put(manifest)
         for i, src in aliases:
             manifests[i] = manifests[src]
         return manifests  # type: ignore[return-value]
 
-    def submit(self, submission: Union[Submission, Scenario]) -> RunManifest:
-        """Run one submission (the service's per-message entry point)."""
-        return self.run([submission])[0]
-
-
-def execute_scenarios(
-    scenarios: Sequence[Union[Submission, Scenario]],
-    store: Optional[ResultStore] = None,
-) -> list[RunManifest]:
-    """One-shot convenience: a throwaway core over an optional store."""
-    return ExecutionCore(store=store).run(scenarios)
+    def submit(self, scenario: Scenario) -> RunManifest:
+        """Run one scenario (a batch of one)."""
+        return self.run([scenario])[0]

@@ -3,18 +3,18 @@
 Every paper artifact is a set of *independent* deterministic
 simulations: each run builds its own :class:`~repro.simcore.Simulator`
 from an explicit seed, so runs can execute in any process in any order
-without changing their results.  This module is the one pool everything
-routes through:
+without changing their results.  This module is the pool the
+one-shot run paths share:
 
 * **across experiments** — ``python -m repro.experiments.run all
   --jobs N`` submits whole figures to the pool;
 * **within a figure / across a sweep grid** —
   :class:`~repro.execution.core.ExecutionCore` expresses each scenario
-  submission as a picklable :class:`RunSpec` and executes batches with
-  :func:`run_specs`;
-* **under the scenario service** — the scheduler's warm workers are
-  this pool's processes, reused across batches so per-profile
-  calibration caches stay hot.
+  as a picklable :class:`RunSpec` and executes batches with
+  :func:`run_specs`.
+
+The scenario service (:mod:`repro.service`) does not use this pool: it
+keeps its own warm workers for the life of the process.
 
 Determinism guarantee
 ---------------------

@@ -40,11 +40,11 @@ Or start the long-running scenario service and submit from a client::
         sub = client.submit("examples/scenarios/latency_breakdown.json")
         manifest = client.result(sub)
 
-The service journals every accepted submission to an fsynced
+The service journals every acknowledged sub-id to an fsynced
 write-ahead log (``--journal``; default under ``$REPRO_CACHE_DIR``), so
-a killed scheduler restarted over the same journal recovers and
-finishes its queued work.  Trim the persistent result store from the
-shell::
+a killed scheduler restarted over the same journal finishes its queued
+work, still answers every old sub-id, and never reuses one.  Trim the
+persistent result store from the shell::
 
     python -m repro.experiments.run store stats
     python -m repro.experiments.run store gc --max-bytes 100000000
@@ -221,12 +221,12 @@ def run_scenarios(args, parser) -> int:
 
 def _journal_for(args):
     """The submission journal ``serve`` runs over: ``auto`` (default)
-    puts it under the shared cache root, ``off`` disables it, anything
-    else is a path."""
+    puts it under the shared cache root, ``off`` keeps it in memory
+    only, anything else is a path."""
     from repro.service import SubmissionJournal
 
     if args.journal == "off":
-        return None
+        return SubmissionJournal()
     if args.journal == "auto":
         return SubmissionJournal.default()
     return SubmissionJournal(args.journal)
@@ -234,20 +234,18 @@ def _journal_for(args):
 
 def run_serve(args, parser) -> int:
     """``run serve`` — the long-running scenario service: an async
-    scheduler accepting submissions over ``--address``, fanning them
-    out to warm workers through the execution core, journaling every
-    accepted submission so a restart recovers queued work."""
-    from repro.service import RetryPolicy, SchedulerService
+    scheduler accepting submissions over ``--address``, running them on
+    warm workers, journaling every acknowledged sub-id so a restart
+    recovers queued work and keeps old ids resolvable."""
+    from repro.service import SchedulerService
 
     journal = _journal_for(args)
     service = SchedulerService(
         store=_result_store(args),
         jobs=args.jobs,
         journal=journal,
-        retry=RetryPolicy(
-            max_attempts=max(1, args.retries + 1),
-            timeout=args.timeout if args.timeout > 0 else None,
-        ),
+        retries=args.retries,
+        timeout=args.timeout if args.timeout > 0 else None,
         max_queue=args.max_queue,
         store_max_bytes=args.store_max_bytes,
     )
@@ -255,8 +253,8 @@ def run_serve(args, parser) -> int:
         service.start(args.address)
         print(f"scenario service listening on {service.address} "
               f"(jobs={args.jobs}, "
-              f"store={'off' if service.core.store is None else service.core.store.root}, "
-              f"journal={'off' if journal is None else journal.path}, "
+              f"store={'off' if service.store is None else service.store.root}, "
+              f"journal={journal.path or 'off'}, "
               f"max_queue={args.max_queue or 'unbounded'}, "
               f"retries={args.retries}, "
               f"timeout={args.timeout or 'none'})",

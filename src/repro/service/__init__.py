@@ -1,16 +1,17 @@
-"""The scenario service: a long-running scheduler over the execution core.
+"""The scenario service: a long-running scheduler in front of the
+persistent result store.
 
-The one-shot CLI and the figures already route every run through
-:mod:`repro.execution`; this package puts a server in front of the same
-core — an async central scheduler
-(:class:`~repro.service.scheduler.SchedulerService`) that accepts
-scenario submissions over a pluggable transport
-(:mod:`~repro.service.transport`: ``inproc://`` for deterministic
-tests, ``tcp://`` for real clients), deduplicates them by content hash,
-answers repeats from the persistent result store, batches
-identical-cluster scenarios onto warm workers, and streams manifests —
-plus, on request, the run's telemetry-bus events — back to the thin
-:class:`~repro.service.client.ServiceClient`.
+An async central scheduler
+(:class:`~repro.service.scheduler.SchedulerService`) accepts scenario
+submissions over a transport (:mod:`~repro.service.transport`:
+``inproc://`` for deterministic tests, ``tcp://`` for real clients),
+deduplicates them by content hash, answers repeats from the
+:class:`~repro.execution.store.ResultStore`, batches identical-cluster
+scenarios onto warm workers, and streams manifests — plus, on request,
+the run's telemetry-bus events — back to the thin
+:class:`~repro.service.client.ServiceClient`.  Its
+:class:`~repro.service.journal.SubmissionJournal` allocates every
+sub-id, so acknowledged ids survive restarts and are never reused.
 
 Start one from the CLI (``python -m repro.experiments.run serve``) or
 in-process::
@@ -34,45 +35,40 @@ from repro.service.client import (
 )
 from repro.service.journal import (
     JOURNAL_SCHEMA,
-    JournalEntry,
     JournalError,
     SubmissionJournal,
 )
-from repro.service.protocol import STATES, decode, encode
-from repro.service.retry import RetryPolicy
-from repro.service.scheduler import SchedulerService, SubmissionRecord
+from repro.service.scheduler import (
+    SchedulerService,
+    SubmissionRecord,
+    backoff,
+    cluster_key,
+    run_batch,
+)
 from repro.service.transport import (
-    ClientChannel,
-    Listener,
-    ServerChannel,
     connect,
+    decode,
+    encode,
     listen,
     parse_address,
-    register_transport,
 )
-from repro.service.worker import run_batch
 
 __all__ = [
     "JOURNAL_SCHEMA",
-    "STATES",
-    "ClientChannel",
-    "JournalEntry",
     "JournalError",
-    "Listener",
-    "RetryPolicy",
     "SchedulerService",
-    "ServerChannel",
     "ServiceBusy",
     "ServiceClient",
     "ServiceError",
     "ServiceTimeout",
     "SubmissionJournal",
     "SubmissionRecord",
+    "backoff",
+    "cluster_key",
     "connect",
     "decode",
     "encode",
     "listen",
     "parse_address",
-    "register_transport",
     "run_batch",
 ]

@@ -26,8 +26,7 @@ from typing import Any, Callable, Mapping, Optional, Union
 
 from repro.scenario.runner import RunManifest
 from repro.scenario.spec import Scenario, load_scenario
-from repro.service.protocol import ServiceTimeout
-from repro.service.transport import ClientChannel, connect
+from repro.service.transport import ServiceTimeout, connect
 
 __all__ = ["ServiceBusy", "ServiceClient", "ServiceError", "ServiceTimeout"]
 
@@ -68,7 +67,7 @@ class ServiceClient:
 
     def __init__(self, address: str):
         self.address = address
-        self._chan: ClientChannel = connect(address)
+        self._chan = connect(address)
 
     # ------------------------------------------------------------ plumbing
     def _request(self, msg: dict, expect: "str | tuple[str, ...]",
@@ -135,7 +134,7 @@ class ServiceClient:
 
         Raises :class:`ServiceError` if the run failed.  ``timeout``
         bounds each wait on the channel, not the whole run; an expiry
-        raises :class:`~repro.service.protocol.ServiceTimeout` (and the
+        raises :class:`~repro.service.transport.ServiceTimeout` (and the
         channel should then be closed, not reused).
         """
         reply = self._request({"op": "result", "sub_id": sub_id},

@@ -1,40 +1,53 @@
-"""Durable submission journal: the scheduler's write-ahead log.
+"""Durable submission journal: the scheduler's write-ahead log, its only
+sub-id allocator, and its sub-id index.
 
 An append-only JSON-lines file (by default
-``$REPRO_CACHE_DIR/service/journal.jsonl``) recording every
-non-streamed submission the scheduler accepted for execution and each
-lifecycle transition it went through::
+``$REPRO_CACHE_DIR/service/journal.jsonl``).  Every sub-id the
+scheduler hands out is allocated here and journaled before the client
+sees it::
 
-    {"kind": "journal", "schema": 1}
-    {"kind": "submit", "sub_id": "sub-000001", "name": ..., "client": ...,
-     "content_hash": ..., "cluster": ..., "scenario": "<canonical json>"}
+    {"kind": "journal", "schema": 2, "next_id": 0, "index": {}, "failed": {}}
+    {"kind": "submit", "sub_id": "sub-000001", "content_hash": ...,
+     "name": ..., "client": ..., "cluster": ..., "scenario": "<json>"}
+    {"kind": "ack",    "sub_id": "sub-000002", "content_hash": ...}
     {"kind": "start",  "sub_id": "sub-000001", "attempt": 1}
-    {"kind": "done",   "sub_id": "sub-000001", "cached": false}
-    {"kind": "failed", "sub_id": "sub-000001", "error": ..., "attempts": 3}
+    {"kind": "done",   "sub_id": "sub-000001"}
+    {"kind": "failed", "sub_ids": ["sub-000001", "sub-000002"],
+     "error": ...}
+
+A ``submit`` is work a restart must run again, so it carries the
+canonical scenario JSON.  Every other acknowledgement — a dedup alias,
+a result-store hit, a streamed run (whose event stream a restart cannot
+resume) — is an ``ack`` carrying the content hash alone: after a
+restart it resolves through the
+:class:`~repro.execution.store.ResultStore`.  ``start`` and ``done``
+track submitted work; ``failed`` names every sub-id sharing the failed
+run.
 
 Every append is flushed and fsynced before the scheduler replies to the
-client, so an acknowledged submission survives process SIGKILL *and*
-power loss (the journal directory itself is fsynced when the file is
-created or compacted — see :mod:`repro.execution.atomic`).
+client, so an acknowledged sub-id survives process SIGKILL *and* power
+loss (the journal directory itself is fsynced when the file is created
+or compacted — see :mod:`repro.execution.atomic`).
 
-On :meth:`SchedulerService.start` the scheduler calls :meth:`replay`:
-entries whose last transition is not terminal (``done``/``failed``) are
-re-enqueued — their canonical scenario JSON rides in the ``submit``
-record, so recovery needs nothing but the journal and re-runs produce
-bit-identical manifests (results already in the
-:class:`~repro.execution.store.ResultStore` are answered from it
-instead).  A torn final line — the tail a crash mid-append leaves — is
-tolerated and dropped; a torn line *followed by intact ones* means real
-corruption and raises :class:`JournalError`, as does an unknown schema
-version.
+:meth:`SubmissionJournal.replay` folds the file back into four things:
+the id high-water mark ``next_id`` (new ids continue past it, so no id
+is ever reused), ``index`` (every acknowledged sub-id → its content
+hash), ``errors`` (failed sub-id → error), and the incomplete
+submissions with the attempt count of their last ``start``.  A torn
+final line — the tail a crash mid-append leaves, which no reply covered
+— is dropped, and cut off before the next append; a torn line
+*followed by intact ones* means real corruption and raises
+:class:`JournalError`, as does an unknown schema version.
 
-The live file is compacted (atomically rewritten with only the header
-and any still-incomplete submissions) whenever every journaled
-submission has reached a terminal state, so the log stays proportional
-to in-flight work, not service lifetime.
+Whenever no submission is incomplete the file is compacted: atomically
+rewritten as one header line carrying ``next_id``, the index and the
+errors.  The log then grows with the number of sub-ids (about 34 bytes
+each), not with the number of transitions.  Submissions still
+incomplete at a compaction follow the header as ``submit`` lines that
+carry their ``attempts``.
 
-Streamed submissions are *not* journaled: their event stream is a side
-effect owed to a live connection that a restart cannot resume.
+A journal without a path keeps the same state in memory only: the
+scheduler's id allocator and index when it runs without a journal file.
 """
 
 from __future__ import annotations
@@ -42,85 +55,43 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.execution.atomic import atomic_write_text, fsync_dir
 
-__all__ = [
-    "JOURNAL_SCHEMA",
-    "JournalEntry",
-    "JournalError",
-    "SubmissionJournal",
-]
+__all__ = ["JOURNAL_SCHEMA", "JournalError", "SubmissionJournal"]
 
 #: Journal line-format version; bump when record shapes change.
-JOURNAL_SCHEMA = 1
-
-#: Transitions after which a submission needs no recovery.
-_TERMINAL = frozenset({"done", "failed"})
+JOURNAL_SCHEMA = 2
 
 
 class JournalError(RuntimeError):
     """The journal exists but cannot be trusted by this build."""
 
 
-@dataclass
-class JournalEntry:
-    """One journaled submission's replayed state."""
-
-    sub_id: str
-    name: str
-    content_hash: str
-    cluster: str
-    scenario_json: str
-    client: str = "journal"
-    attempts: int = 0
-    state: str = "queued"
-    error: Optional[str] = None
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in _TERMINAL
-
-    def submit_record(self) -> dict[str, Any]:
-        return {
-            "kind": "submit",
-            "sub_id": self.sub_id,
-            "name": self.name,
-            "client": self.client,
-            "content_hash": self.content_hash,
-            "cluster": self.cluster,
-            "scenario": self.scenario_json,
-        }
-
-
-@dataclass
-class JournalReplay:
-    """What :meth:`SubmissionJournal.replay` found."""
-
-    entries: list[JournalEntry] = field(default_factory=list)
-    torn_tail: bool = False
-
-    @property
-    def incomplete(self) -> list[JournalEntry]:
-        return [e for e in self.entries if not e.terminal]
-
-
 class SubmissionJournal:
-    """Append-only JSON-lines WAL over one file.
+    """Append-only JSON-lines WAL over one file (or none: in memory).
 
+    Call :meth:`replay` before appending to an existing file: the id
+    mark it restores is what keeps new ids from repeating old ones.
     Not thread-safe by itself — the scheduler serialises all access on
-    its event loop; ``replay`` may additionally be called before the
-    loop exists (e.g. by offline tooling).
+    its event loop.
     """
 
-    def __init__(self, path: "pathlib.Path | str"):
-        self.path = pathlib.Path(path)
+    def __init__(self, path: "pathlib.Path | str | None" = None):
+        self.path = pathlib.Path(path) if path is not None else None
         self._fh = None
-        #: sub_ids journaled but not yet terminal (drives compaction).
-        self._live: dict[str, JournalEntry] = {}
-        self.appended = 0
+        #: bytes of the file's intact prefix, when replay found a torn tail
+        self._torn_at: Optional[int] = None
+        #: the id high-water mark: every id so far is ``sub-`` 1..next_id
+        self.next_id = 0
+        #: every acknowledged sub-id → its scenario content hash
+        self.index: dict[str, str] = {}
+        #: failed sub-id → its error
+        self.errors: dict[str, str] = {}
+        #: incomplete submissions: sub-id → its ``submit`` record, plus
+        #: ``attempts`` from its last ``start``
+        self._live: dict[str, dict[str, Any]] = {}
         self.compactions = 0
 
     @classmethod
@@ -132,157 +103,150 @@ class SubmissionJournal:
         return cls(calibration_cache_dir() / "service" / "journal.jsonl")
 
     # ------------------------------------------------------------- replay
-    def replay(self) -> JournalReplay:
-        """Read the journal back into per-submission states.
-
-        Missing file ⇒ empty replay.  The final line may be torn (a
-        crash mid-append); anything torn before that raises
-        :class:`JournalError`, as does a wrong schema header.
-        """
-        out = JournalReplay()
+    def replay(self) -> list[dict[str, Any]]:
+        """Fold the file into this journal's state and return the
+        incomplete submissions (``submit`` records plus ``attempts``),
+        in journal order.  A missing file replays as empty."""
         try:
-            text = self.path.read_text(encoding="utf-8")
+            data = self.path.read_bytes() if self.path is not None else b""
         except FileNotFoundError:
-            return out
+            data = b""
         except OSError as exc:
             raise JournalError(f"cannot read journal {self.path}: {exc}")
-        by_id: dict[str, JournalEntry] = {}
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        for i, line in enumerate(lines):
+        # The last split piece is b"" after a final newline; otherwise it
+        # is an append a crash cut short — never acknowledged.
+        lines = data.split(b"\n")[:-1]
+        intact = 0
+        for i, line in enumerate(lines, start=1):
             try:
                 rec = json.loads(line)
                 if not isinstance(rec, dict) or "kind" not in rec:
                     raise ValueError("not a journal record object")
             except ValueError as exc:
-                if i == len(lines) - 1:
-                    out.torn_tail = True  # crash mid-append: drop the tail
-                    break
-                raise JournalError(
-                    f"journal {self.path} line {i + 1} is corrupt (and not "
-                    f"the final line — this is not a torn append): {exc}"
-                )
-            self._apply(rec, by_id, i)
-        out.entries = list(by_id.values())
-        self._live = {e.sub_id: e for e in out.entries if not e.terminal}
-        return out
+                if i < len(lines):
+                    raise JournalError(
+                        f"journal {self.path} line {i} is corrupt (and not "
+                        f"the final line — this is not a torn append): {exc}"
+                    )
+                break  # torn final line: drop it
+            self._apply(rec, i)
+            intact += len(line) + 1
+        self._torn_at = intact if intact < len(data) else None
+        return [dict(rec) for rec in self._live.values()]
 
-    def _apply(self, rec: dict, by_id: dict[str, JournalEntry],
-               lineno: int) -> None:
-        kind = rec.get("kind")
+    def _apply(self, rec: dict[str, Any], lineno: int) -> None:
+        """Fold one record into the in-memory state (replay and append
+        share this)."""
+        kind, sub_id = rec["kind"], rec.get("sub_id")
         if kind == "journal":
-            schema = rec.get("schema")
-            if schema != JOURNAL_SCHEMA:
+            if rec.get("schema") != JOURNAL_SCHEMA:
                 raise JournalError(
-                    f"journal {self.path} has schema {schema!r} but this "
-                    f"build reads schema {JOURNAL_SCHEMA}; move the file "
-                    f"aside to start fresh"
+                    f"journal {self.path} has schema {rec.get('schema')!r} "
+                    f"but this build reads schema {JOURNAL_SCHEMA}; move the "
+                    f"file aside to start fresh"
                 )
-            return
-        if kind == "submit":
-            by_id[rec["sub_id"]] = JournalEntry(
-                sub_id=rec["sub_id"],
-                name=rec.get("name", ""),
-                content_hash=rec["content_hash"],
-                cluster=rec.get("cluster", ""),
-                scenario_json=rec["scenario"],
-                client=rec.get("client", "journal"),
-            )
-            return
-        entry = by_id.get(rec.get("sub_id", ""))
-        if entry is None:
-            raise JournalError(
-                f"journal {self.path} line {lineno + 1}: {kind!r} for "
-                f"unknown submission {rec.get('sub_id')!r}"
-            )
-        if kind == "start":
-            entry.attempts = int(rec.get("attempt", entry.attempts + 1))
-            entry.state = "running"
-        elif kind == "done":
-            entry.state = "done"
-        elif kind == "failed":
-            entry.state = "failed"
-            entry.error = rec.get("error")
+            self.next_id = max(self.next_id, rec.get("next_id", 0))
+            self.index.update(rec.get("index", {}))
+            self.errors.update(rec.get("failed", {}))
+        elif kind in ("submit", "ack"):
+            self.next_id = max(self.next_id, int(sub_id.rpartition("-")[2]))
+            self.index[sub_id] = rec["content_hash"]
+            if kind == "submit":
+                self._live[sub_id] = {"attempts": 0, **rec}
+        elif kind in ("start", "done", "failed"):
+            ids = rec["sub_ids"] if kind == "failed" else [sub_id]
+            for sid in ids:
+                if sid not in self.index:
+                    raise JournalError(
+                        f"journal {self.path} line {lineno}: {kind!r} for "
+                        f"unknown submission {sid!r}"
+                    )
+                if kind == "start" and sid in self._live:
+                    self._live[sid]["attempts"] = rec["attempt"]
+                elif kind != "start":
+                    self._live.pop(sid, None)
+                if kind == "failed":
+                    self.errors[sid] = rec["error"]
         else:
             raise JournalError(
-                f"journal {self.path} line {lineno + 1}: unknown record "
+                f"journal {self.path} line {lineno}: unknown record "
                 f"kind {kind!r}"
             )
 
     # ------------------------------------------------------------- append
-    def _open(self):
-        if self._fh is None:
-            fresh = not self.path.exists()
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
-            if fresh:
-                self._write({"kind": "journal", "schema": JOURNAL_SCHEMA})
-                fsync_dir(self.path.parent)
-        return self._fh
+    def _header(self) -> dict[str, Any]:
+        return {
+            "kind": "journal", "schema": JOURNAL_SCHEMA,
+            "next_id": self.next_id,
+            "index": {k: v for k, v in self.index.items()
+                      if k not in self._live},
+            "failed": self.errors,
+        }
 
-    def _write(self, rec: dict[str, Any]) -> None:
-        fh = self._open()
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-        self.appended += 1
+    def _append(self, rec: dict[str, Any]) -> None:
+        if self.path is not None:
+            if self._fh is None:
+                fresh = not self.path.exists()
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                if self._torn_at is not None:
+                    os.truncate(self.path, self._torn_at)
+                    self._torn_at = None
+                self._fh = open(self.path, "a", encoding="utf-8")
+                if fresh:
+                    self._fh.write(json.dumps(self._header(),
+                                              sort_keys=True) + "\n")
+                    fsync_dir(self.path.parent)
+            self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+        self._apply(rec, 0)
 
-    def record_submit(self, entry: JournalEntry) -> None:
-        self._write(entry.submit_record())
-        self._live[entry.sub_id] = entry
+    def acknowledge(self, content_hash: str,
+                    submit: Optional[dict[str, Any]] = None) -> str:
+        """Allocate the next sub-id and journal it; the caller replies
+        only after this returns.  ``submit`` (name, client, cluster,
+        scenario) marks work a restart must run again; without it the
+        id is recorded by content hash alone."""
+        sub_id = f"sub-{self.next_id + 1:06d}"
+        self._append({"kind": "submit" if submit else "ack",
+                      "sub_id": sub_id, "content_hash": content_hash,
+                      **(submit or {})})
+        return sub_id
 
     def record_start(self, sub_id: str, attempt: int) -> None:
-        self._write({"kind": "start", "sub_id": sub_id, "attempt": attempt})
-        live = self._live.get(sub_id)
-        if live is not None:
-            live.attempts = attempt
-            live.state = "running"
+        if sub_id in self._live:
+            self._append({"kind": "start", "sub_id": sub_id,
+                          "attempt": attempt})
 
-    def record_done(self, sub_id: str, cached: bool = False) -> None:
-        self._write({"kind": "done", "sub_id": sub_id, "cached": cached})
-        self._live.pop(sub_id, None)
-        self._maybe_compact()
+    def record_done(self, sub_id: str) -> None:
+        if sub_id in self._live:
+            self._append({"kind": "done", "sub_id": sub_id})
+            self._maybe_compact()
 
-    def record_failed(self, sub_id: str, error: str, attempts: int) -> None:
-        self._write({
-            "kind": "failed", "sub_id": sub_id,
-            "error": error, "attempts": attempts,
-        })
-        self._live.pop(sub_id, None)
+    def record_failed(self, sub_ids: Iterable[str], error: str) -> None:
+        self._append({"kind": "failed", "sub_ids": list(sub_ids),
+                      "error": error})
         self._maybe_compact()
 
     # ---------------------------------------------------------- compaction
     def _maybe_compact(self) -> None:
-        if not self._live and self.path.exists():
+        if not self._live:
             self.compact()
 
     def compact(self) -> None:
-        """Atomically rewrite the journal to the header plus the still
+        """Atomically rewrite the journal as its header plus the still
         incomplete submissions (normally: just the header)."""
-        lines = [json.dumps({"kind": "journal", "schema": JOURNAL_SCHEMA},
-                            sort_keys=True)]
-        for entry in self._live.values():
-            lines.append(json.dumps(entry.submit_record(), sort_keys=True))
-            if entry.attempts:
-                lines.append(json.dumps(
-                    {"kind": "start", "sub_id": entry.sub_id,
-                     "attempt": entry.attempts},
-                    sort_keys=True,
-                ))
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        atomic_write_text(self.path, "\n".join(lines) + "\n")
+        if self.path is None:
+            return
+        self.close()
+        lines = [self._header(), *self._live.values()]
+        atomic_write_text(self.path, "".join(
+            json.dumps(rec, sort_keys=True) + "\n" for rec in lines
+        ))
+        self._torn_at = None
         self.compactions += 1
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def __enter__(self) -> "SubmissionJournal":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()

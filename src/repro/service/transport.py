@@ -1,99 +1,141 @@
-"""Pluggable transports: how clients reach the scheduler.
+"""Wire protocol and transports: how clients reach the scheduler.
 
-Two schemes ship (the comm layer is modelled on Dask's ``distributed``,
-which the ROADMAP names as the reference shape):
+Messages are JSON objects, each with an ``"op"`` field.  Two transports
+carry them (the comm layer is modelled on Dask's ``distributed``, which
+the ROADMAP names as the reference shape):
 
 * ``inproc://<name>`` — an in-process pipe pair: no sockets, no ports,
   fully deterministic — what the test suite and the CI smoke job use.
-* ``tcp://<host>:<port>`` — JSON-lines over a TCP stream (port ``0``
-  picks a free port; the listener reports the bound address).
+  The dicts pass through unencoded.
+* ``tcp://<host>:<port>`` — one JSON object per line over a TCP stream
+  (port ``0`` picks a free port; the listener reports the bound
+  address).
 
-The server side is async (:class:`ServerChannel`, driven by the
-scheduler's event loop); the client side is deliberately synchronous
-(:class:`ClientChannel`) so the thin client works from any script,
-thread, or REPL without touching asyncio.
+The server side is async (driven by the scheduler's event loop); the
+client side is deliberately synchronous so the thin client works from
+any script, thread, or REPL without touching asyncio.
 
-``register_transport`` lets third parties add schemes; :func:`listen`
-and :func:`connect` dispatch on the address prefix.
+Client → scheduler ops:
+
+``submit``    ``{"op": "submit", "scenario": {...}, "stream": bool}``
+``status``    ``{"op": "status", "sub_id": "..."}``
+``result``    ``{"op": "result", "sub_id": "..."}``
+``stats``     ``{"op": "stats"}``
+
+Scheduler → client ops:
+
+``submitted`` ``{"op": "submitted", "sub_id", "content_hash", "state"}``
+``busy``      ``{"op": "busy", "queue_depth", "max_queue", "retry_after"}``
+              (bounded admission: the submission queue is full; the
+              client should re-submit after ``retry_after`` seconds —
+              :meth:`~repro.service.client.ServiceClient.submit` does
+              this automatically)
+``status``    ``{"op": "status", "sub_id", "state", "cached",
+              "attempts", ...}`` (a retried submission also carries
+              ``retries``: the backoff schedule it sat out, and a
+              quarantined one ``quarantined: true``)
+``event``     ``{"op": "event", "sub_id", "record": {...}}`` (streamed
+              before the result when the submission asked for events;
+              records follow :data:`repro.telemetry.trace.TRACE_SCHEMA`)
+``result``    ``{"op": "result", "sub_id", "state", "manifest": {...}}``
+``stats``     ``{"op": "stats", ...counters...}``
+``error``     ``{"op": "error", "error": "..."}``
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import queue
 import socket
 from typing import Any, Awaitable, Callable, Optional
 
-from repro.service.protocol import ServiceTimeout, decode, encode
-
 __all__ = [
-    "ClientChannel",
-    "Listener",
-    "ServerChannel",
+    "ServiceTimeout",
     "connect",
+    "decode",
+    "encode",
+    "error_message",
     "listen",
     "parse_address",
-    "register_transport",
 ]
 
-#: Per-connection server hook: runs until the client hangs up.
-Handler = Callable[["ServerChannel"], Awaitable[None]]
+#: Per-connection server hook: runs until the client hangs up.  A
+#: server channel has ``async recv() -> dict | None`` (``None`` once
+#: the client hung up) and ``async send(msg)``.
+Handler = Callable[[Any], Awaitable[None]]
+
+
+class ServiceTimeout(TimeoutError):
+    """A client-side ``recv(timeout=...)`` expired with no reply.
+
+    Raised identically by both transports (the tcp socket timeout and
+    the inproc queue timeout both convert to this), so callers handle
+    one exception, not one per transport.  The pending reply is
+    abandoned — after a timeout the channel may be mid-message and
+    should be closed rather than reused.
+    """
+
+
+def encode(msg: dict[str, Any]) -> bytes:
+    """One message → one JSON line (the TCP framing)."""
+    return (json.dumps(msg, sort_keys=True) + "\n").encode("utf-8")
+
+
+def decode(line: "bytes | str") -> dict[str, Any]:
+    """One JSON line → one message; rejects non-object payloads."""
+    if isinstance(line, bytes):
+        line = line.decode("utf-8")
+    msg = json.loads(line)
+    if not isinstance(msg, dict) or "op" not in msg:
+        raise ValueError(f"service message must be an object with an 'op', "
+                         f"got {line.strip()!r}")
+    return msg
+
+
+def error_message(exc_or_text: "BaseException | str") -> dict[str, Any]:
+    if isinstance(exc_or_text, BaseException):
+        exc_or_text = f"{type(exc_or_text).__name__}: {exc_or_text}"
+    return {"op": "error", "error": str(exc_or_text)}
 
 
 def parse_address(address: str) -> tuple[str, str]:
-    """``scheme://rest`` → ``(scheme, rest)``."""
+    """``scheme://rest`` → ``(scheme, rest)``; the scheme must be
+    ``inproc`` or ``tcp``."""
     scheme, sep, rest = address.partition("://")
     if not sep or not scheme or not rest:
         raise ValueError(
             f"transport address must look like scheme://location "
             f"(tcp://host:port or inproc://name), got {address!r}"
         )
+    if scheme not in ("inproc", "tcp"):
+        raise ValueError(
+            f"unknown transport scheme {scheme!r}; use inproc:// or tcp://"
+        )
     return scheme, rest
 
 
-# --------------------------------------------------------------- interfaces
-class ServerChannel:
-    """The scheduler's side of one client connection (async)."""
-
-    async def recv(self) -> Optional[dict]:
-        """Next message, or ``None`` once the client hung up."""
-        raise NotImplementedError
-
-    async def send(self, msg: dict) -> None:
-        raise NotImplementedError
+async def listen(address: str, handler: Handler):
+    """Bind ``address`` on the *running* event loop; ``handler`` runs
+    once per client connection.  Returns a listener with ``address``
+    (the bound one) and ``async close()``."""
+    scheme, rest = parse_address(address)
+    if scheme == "inproc":
+        return _listen_inproc(rest, handler)
+    return await _listen_tcp(rest, handler)
 
 
-class Listener:
-    """A live, bound endpoint accepting connections on the serving loop."""
-
-    address: str
-
-    async def close(self) -> None:
-        raise NotImplementedError
-
-
-class ClientChannel:
-    """The client's side: blocking send/recv of dict messages.
-
-    ``recv(timeout=...)`` raises
-    :class:`~repro.service.protocol.ServiceTimeout` when no reply
-    arrives in time — the same exception on every transport.
-    """
-
-    def send(self, msg: dict) -> None:
-        raise NotImplementedError
-
-    def recv(self, timeout: Optional[float] = None) -> dict:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    def __enter__(self) -> "ClientChannel":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+def connect(address: str):
+    """Open a synchronous client channel to a listening scheduler: it
+    has ``send(msg)``, ``recv(timeout=None) -> dict`` (raising
+    :class:`ServiceTimeout` on expiry) and ``close()``."""
+    scheme, rest = parse_address(address)
+    if scheme == "inproc":
+        return _connect_inproc(rest)
+    host, _, port = rest.rpartition(":")
+    if not host or not port:
+        raise ValueError(f"tcp address needs host:port, got tcp://{rest}")
+    return _TcpClientChannel(socket.create_connection((host, int(port))))
 
 
 # ------------------------------------------------------------------ inproc
@@ -101,7 +143,7 @@ class ClientChannel:
 _INPROC: dict[str, "_InProcListener"] = {}
 
 
-class _InProcServerChannel(ServerChannel):
+class _InProcServerChannel:
     def __init__(self, loop: asyncio.AbstractEventLoop):
         self._loop = loop
         self._to_server: asyncio.Queue = asyncio.Queue()
@@ -114,7 +156,7 @@ class _InProcServerChannel(ServerChannel):
         self._to_client.put(msg)
 
 
-class _InProcClientChannel(ClientChannel):
+class _InProcClientChannel:
     def __init__(self, server: _InProcServerChannel):
         self._server = server
         self._closed = False
@@ -144,7 +186,7 @@ class _InProcClientChannel(ClientChannel):
         )
 
 
-class _InProcListener(Listener):
+class _InProcListener:
     def __init__(self, name: str, handler: Handler,
                  loop: asyncio.AbstractEventLoop):
         self.name = name
@@ -156,7 +198,7 @@ class _InProcListener(Listener):
         _INPROC.pop(self.name, None)
 
 
-async def _listen_inproc(rest: str, handler: Handler) -> Listener:
+def _listen_inproc(rest: str, handler: Handler) -> _InProcListener:
     if rest in _INPROC:
         raise ValueError(f"inproc://{rest} is already listening")
     listener = _InProcListener(rest, handler, asyncio.get_running_loop())
@@ -164,7 +206,7 @@ async def _listen_inproc(rest: str, handler: Handler) -> Listener:
     return listener
 
 
-def _connect_inproc(rest: str) -> ClientChannel:
+def _connect_inproc(rest: str) -> _InProcClientChannel:
     listener = _INPROC.get(rest)
     if listener is None:
         raise ConnectionError(
@@ -177,7 +219,7 @@ def _connect_inproc(rest: str) -> ClientChannel:
 
 
 # --------------------------------------------------------------------- tcp
-class _TcpServerChannel(ServerChannel):
+class _TcpServerChannel:
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter):
         self._reader = reader
@@ -201,7 +243,7 @@ class _TcpServerChannel(ServerChannel):
             pass
 
 
-class _TcpListener(Listener):
+class _TcpListener:
     def __init__(self, server: asyncio.base_events.Server, address: str):
         self._server = server
         self.address = address
@@ -211,7 +253,7 @@ class _TcpListener(Listener):
         await self._server.wait_closed()
 
 
-async def _listen_tcp(rest: str, handler: Handler) -> Listener:
+async def _listen_tcp(rest: str, handler: Handler) -> _TcpListener:
     host, _, port = rest.rpartition(":")
     if not host or not port:
         raise ValueError(f"tcp address needs host:port, got tcp://{rest}")
@@ -229,7 +271,7 @@ async def _listen_tcp(rest: str, handler: Handler) -> Listener:
     return _TcpListener(server, f"tcp://{bound[0]}:{bound[1]}")
 
 
-class _TcpClientChannel(ClientChannel):
+class _TcpClientChannel:
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._file = sock.makefile("rwb")
@@ -257,48 +299,3 @@ class _TcpClientChannel(ClientChannel):
             self._file.close()
         finally:
             self._sock.close()
-
-
-def _connect_tcp(rest: str) -> ClientChannel:
-    host, _, port = rest.rpartition(":")
-    if not host or not port:
-        raise ValueError(f"tcp address needs host:port, got tcp://{rest}")
-    return _TcpClientChannel(socket.create_connection((host, int(port))))
-
-
-# ---------------------------------------------------------------- registry
-_TRANSPORTS: dict[str, tuple[Callable, Callable]] = {
-    "inproc": (_listen_inproc, _connect_inproc),
-    "tcp": (_listen_tcp, _connect_tcp),
-}
-
-
-def register_transport(scheme: str, listen_fn: Callable,
-                       connect_fn: Callable) -> None:
-    """Plug in a new scheme (``listen_fn`` is an async callable
-    ``(rest, handler) -> Listener``; ``connect_fn`` is sync
-    ``(rest) -> ClientChannel``)."""
-    _TRANSPORTS[scheme] = (listen_fn, connect_fn)
-
-
-async def listen(address: str, handler: Handler) -> Listener:
-    """Bind ``address`` on the *running* event loop; ``handler`` runs
-    once per client connection."""
-    scheme, rest = parse_address(address)
-    if scheme not in _TRANSPORTS:
-        raise ValueError(
-            f"unknown transport scheme {scheme!r}; "
-            f"registered: {sorted(_TRANSPORTS)}"
-        )
-    return await _TRANSPORTS[scheme][0](rest, handler)
-
-
-def connect(address: str) -> ClientChannel:
-    """Open a synchronous client channel to a listening scheduler."""
-    scheme, rest = parse_address(address)
-    if scheme not in _TRANSPORTS:
-        raise ValueError(
-            f"unknown transport scheme {scheme!r}; "
-            f"registered: {sorted(_TRANSPORTS)}"
-        )
-    return _TRANSPORTS[scheme][1](rest)

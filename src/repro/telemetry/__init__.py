@@ -11,8 +11,7 @@ JSON trace export — is a *sink* subscribed to it.
   (``request_submitted/dispatched/completed``, ``depth_changed``,
   ``broker_sync``, ``flush_spike``).
 * :mod:`repro.telemetry.bus` — scoped publish/subscribe dispatch.
-* :mod:`repro.telemetry.sinks` — rate meters, latency windows,
-  time-series recorders, counters.
+* :mod:`repro.telemetry.sinks` — time-series recorders, counters.
 * :mod:`repro.telemetry.trace` — JSON-lines export + trace schema.
 """
 
@@ -47,12 +46,7 @@ from repro.telemetry.events import (
     TaskRetry,
     event_record,
 )
-from repro.telemetry.sinks import (
-    AppRateMeterSink,
-    CounterSink,
-    LatencyWindowSink,
-    TimeSeriesSink,
-)
+from repro.telemetry.sinks import CounterSink, TimeSeriesSink
 from repro.telemetry.trace import (
     TRACE_SCHEMA,
     JsonLinesTraceSink,
@@ -76,7 +70,6 @@ __all__ = [
     "REQUEST_SUBMITTED",
     "SPAN",
     "TASK_RETRY",
-    "AppRateMeterSink",
     "BrokerOutage",
     "BrokerSync",
     "CounterSink",
@@ -84,7 +77,6 @@ __all__ = [
     "FaultInjected",
     "FlushSpike",
     "JsonLinesTraceSink",
-    "LatencyWindowSink",
     "NodeDown",
     "NodeUp",
     "ReplicaFailover",

@@ -2,25 +2,20 @@
 
 Each sink subscribes itself to a :class:`~repro.telemetry.bus.
 TelemetryBus` at construction and accumulates a particular view of the
-event stream.  They are the building blocks the figures and the
-schedulers' own accounting are assembled from — nothing reads another
-component's internals any more, it reads (or attaches) a sink.
+event stream.  The figures are assembled from them — nothing reads
+another component's internals, it reads (or attaches) a sink.  A
+scheduler's per-app service, throughput meters and latency window live
+in :class:`~repro.core.base.SchedulerStats`, itself a bus subscriber.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.simcore.instrument import RateMeter, TimeSeries
+from repro.simcore.instrument import TimeSeries
 from repro.telemetry.bus import TelemetryBus
-from repro.telemetry.events import REQUEST_COMPLETED
 
-__all__ = [
-    "AppRateMeterSink",
-    "CounterSink",
-    "LatencyWindowSink",
-    "TimeSeriesSink",
-]
+__all__ = ["CounterSink", "TimeSeriesSink"]
 
 
 class TimeSeriesSink:
@@ -73,58 +68,3 @@ class CounterSink:
         self.count += 1
         if self._amount is not None:
             self.total += self._amount(ev)
-
-
-class AppRateMeterSink:
-    """Per-application completed-bytes meters (throughput figures).
-
-    Subscribes to ``request_completed`` — scoped to one scheduler, or
-    wildcard for a cluster-wide per-app view.
-    """
-
-    def __init__(
-        self,
-        bus: TelemetryBus,
-        source: Optional[str] = None,
-        name: str = "",
-    ):
-        self.name = name or (source or "cluster")
-        self.meter_by_app: dict[str, RateMeter] = {}
-        bus.subscribe(REQUEST_COMPLETED, self._on_completed, source=source)
-
-    def _on_completed(self, ev: Any) -> None:
-        meter = self.meter_by_app.get(ev.app_id)
-        if meter is None:
-            meter = self.meter_by_app[ev.app_id] = RateMeter(
-                f"{self.name}:{ev.app_id}"
-            )
-        meter.add(ev.t, ev.nbytes)
-
-    def meter(self, app_id: str) -> Optional[RateMeter]:
-        return self.meter_by_app.get(app_id)
-
-
-class LatencyWindowSink:
-    """Device latencies since the last drain, split by op.
-
-    This is the observation window of the SFQ(D2) controller (§4): each
-    control period it drains the completions observed since its last
-    tick.
-    """
-
-    def __init__(self, bus: TelemetryBus, source: Optional[str] = None):
-        self.window_read_latencies: list[float] = []
-        self.window_write_latencies: list[float] = []
-        bus.subscribe(REQUEST_COMPLETED, self._on_completed, source=source)
-
-    def _on_completed(self, ev: Any) -> None:
-        if ev.op == "read":
-            self.window_read_latencies.append(ev.latency)
-        else:
-            self.window_write_latencies.append(ev.latency)
-
-    def drain(self) -> tuple[list[float], list[float]]:
-        """Return and reset the (reads, writes) latency window."""
-        reads, self.window_read_latencies = self.window_read_latencies, []
-        writes, self.window_write_latencies = self.window_write_latencies, []
-        return reads, writes

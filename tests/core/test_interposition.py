@@ -53,6 +53,21 @@ def test_sfqd2_node_has_sfqd2_everywhere():
         assert isinstance(node.scheduler(c), SFQD2Scheduler)
 
 
+def test_schedulers_is_a_read_only_view_of_the_paths():
+    """Requests route through ``paths``; a scheduler assigned into
+    ``schedulers`` would never see one, so assignment must fail."""
+    sim = Simulator()
+    node = DataNodeIO(sim, "n0", default_cluster(), PolicySpec.native())
+    for c in IOClass:
+        assert node.schedulers[c] is node.path(c).scheduler
+    with pytest.raises(TypeError):
+        node.schedulers[IOClass.PERSISTENT] = NativeScheduler(
+            sim, node.hdfs_device
+        )
+    with pytest.raises(AttributeError):
+        node.schedulers = {}
+
+
 def test_cgroups_controls_only_intermediate_class():
     """§6: containers cannot differentiate HDFS or shuffle I/Os."""
     sim = Simulator()

@@ -3,16 +3,9 @@
 import pytest
 
 import repro.execution.core as core_mod
-from repro.execution import (
-    ExecutionCore,
-    ResultStore,
-    Submission,
-    as_submission,
-    cluster_key,
-    execute_scenarios,
-    parallel_jobs,
-)
+from repro.execution import ExecutionCore, ResultStore, parallel_jobs
 from repro.scenario import run_scenario, sweep_scenarios
+from repro.service import cluster_key
 
 
 @pytest.fixture
@@ -29,23 +22,7 @@ def counted_runs(monkeypatch):
     return calls
 
 
-# ------------------------------------------------------------- submissions
-def test_as_submission_coerces_and_rejects(tiny_scenario):
-    s = tiny_scenario()
-    sub = as_submission(s)
-    assert sub.scenario is s and sub.cacheable
-    assert as_submission(sub) is sub
-    assert sub.content_hash == s.content_hash()
-    with pytest.raises(TypeError):
-        as_submission("not a scenario")
-
-
-def test_traced_submission_is_not_cacheable(tiny_scenario, tmp_path):
-    sub = Submission(tiny_scenario(), trace_path=str(tmp_path / "t.jsonl"))
-    assert not sub.cacheable
-    assert Submission(tiny_scenario(), use_store=False).cacheable is False
-
-
+# ------------------------------------------------------------- batching key
 def test_cluster_key_groups_by_cluster(tiny_scenario):
     a, b = tiny_scenario(seed=1), tiny_scenario(seed=1, name="other")
     c = tiny_scenario(seed=2)
@@ -116,9 +93,9 @@ def test_store_results_identical_to_fresh_run(tmp_path, tiny_scenario):
 # ----------------------------------------------------------- pool parity
 def test_parallel_run_byte_identical_to_serial(tiny_scenario):
     scenarios = [tiny_scenario(seed=s) for s in (1, 2, 3, 4)]
-    serial = [m.metrics_hash() for m in execute_scenarios(scenarios)]
+    serial = [m.metrics_hash() for m in ExecutionCore().run(scenarios)]
     with parallel_jobs(2):
-        parallel = [m.metrics_hash() for m in execute_scenarios(scenarios)]
+        parallel = [m.metrics_hash() for m in ExecutionCore().run(scenarios)]
     assert parallel == serial
 
 

@@ -20,7 +20,7 @@ import pytest
 from repro.config import GB, default_cluster
 from repro.core import PolicySpec
 from repro.scenario import single_app
-from repro.service import ServiceClient, ServiceError, SubmissionJournal
+from repro.service import ServiceClient, SubmissionJournal
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
@@ -84,8 +84,7 @@ def test_sigkill_mid_batch_then_restart_recovers(tmp_path):
         proc.kill()  # SIGKILL: no atexit, no journal close, no flush
         proc.wait(timeout=10)
 
-    replay = SubmissionJournal(journal).replay()
-    incomplete = {e.sub_id for e in replay.incomplete}
+    incomplete = {r["sub_id"] for r in SubmissionJournal(journal).replay()}
     assert incomplete, "SIGKILL landed after everything completed"
     assert incomplete <= set(sub_ids)
 
@@ -107,7 +106,7 @@ def test_sigkill_mid_batch_then_restart_recovers(tmp_path):
             break
         time.sleep(0.05)
     assert len(journal.read_text().splitlines()) == 1
-    assert SubmissionJournal(journal).replay().incomplete == []
+    assert SubmissionJournal(journal).replay() == []
 
     # A third, cold process has no in-memory records — re-submitting the
     # sweep must be answered from the persistent store, not re-executed.
@@ -125,12 +124,6 @@ def test_sigkill_mid_batch_then_restart_recovers(tmp_path):
 
 
 @pytest.mark.slow
-@pytest.mark.xfail(
-    raises=ServiceError, strict=True,
-    reason="_recover rebuilds only incomplete journal entries, so a "
-           "sub-id that finished before the crash is unknown after the "
-           "restart (KeyError: unknown submission)",
-)
 def test_sub_id_finished_before_sigkill_resolves_after_restart(tmp_path):
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
@@ -145,7 +138,7 @@ def test_sub_id_finished_before_sigkill_resolves_after_restart(tmp_path):
     finally:
         proc.kill()
         proc.wait(timeout=10)
-    assert SubmissionJournal(journal).replay().incomplete == []
+    assert SubmissionJournal(journal).replay() == []
 
     # The acknowledged sub-id must still resolve, from the store.
     proc, address = _serve(env, journal)

@@ -1,51 +1,13 @@
-"""RetryPolicy: deterministic backoff with jitter, bounds, validation."""
+"""Retry backoff: fixed, capped exponential, no jitter."""
 
 import pytest
 
-from repro.service import RetryPolicy
-
-
-def test_delays_are_deterministic_across_instances():
-    a = RetryPolicy(seed=7)
-    b = RetryPolicy(seed=7)
-    for attempt in (1, 2, 3):
-        assert a.delay(attempt, "hash-x") == b.delay(attempt, "hash-x")
-
-
-def test_jitter_varies_by_key_attempt_and_seed():
-    p = RetryPolicy()
-    assert p.delay(1, "hash-a") != p.delay(1, "hash-b")
-    assert p.delay(1, "hash-a") != p.delay(2, "hash-a") / p.backoff
-    assert (RetryPolicy(seed=1).delay(1, "k")
-            != RetryPolicy(seed=2).delay(1, "k"))
+from repro.service import backoff
 
 
 def test_backoff_grows_and_caps():
-    p = RetryPolicy(base_delay=0.1, backoff=2.0, max_delay=0.5, jitter=0.0)
-    assert p.delay(1, "k") == pytest.approx(0.1)
-    assert p.delay(2, "k") == pytest.approx(0.2)
-    assert p.delay(3, "k") == pytest.approx(0.4)
-    assert p.delay(4, "k") == pytest.approx(0.5)  # capped
-    assert p.delay(9, "k") == pytest.approx(0.5)
-
-
-def test_jitter_stays_in_band():
-    p = RetryPolicy(base_delay=1.0, backoff=1.0, jitter=0.25)
-    for attempt in range(1, 20):
-        d = p.delay(attempt, f"key-{attempt}")
-        assert 0.75 <= d <= 1.25
-
-
-def test_schedule_covers_non_final_attempts():
-    p = RetryPolicy(max_attempts=4, jitter=0.0)
-    assert len(p.schedule("k")) == 3
-    assert p.schedule("k") == [p.delay(a, "k") for a in (1, 2, 3)]
-
-
-def test_validation():
-    with pytest.raises(ValueError, match="max_attempts"):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError, match="jitter"):
-        RetryPolicy(jitter=1.5)
-    with pytest.raises(ValueError, match="1-based"):
-        RetryPolicy().delay(0, "k")
+    assert backoff(1) == pytest.approx(0.05)
+    assert backoff(2) == pytest.approx(0.1)
+    assert backoff(3) == pytest.approx(0.2)
+    assert backoff(8) == pytest.approx(5.0)  # 6.4 s, capped
+    assert backoff(30) == pytest.approx(5.0)

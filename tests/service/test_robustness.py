@@ -11,14 +11,13 @@ from repro.execution import ResultStore
 from repro.scenario import run_scenario
 from repro.scenario.spec import Scenario
 from repro.service import (
-    RetryPolicy,
     SchedulerService,
     ServiceBusy,
     ServiceClient,
     ServiceError,
     SubmissionJournal,
+    backoff,
 )
-from repro.service.journal import JournalEntry
 
 
 def _names(payloads):
@@ -39,22 +38,16 @@ def _no_worker_threads():
                 if t.name.startswith("repro-worker") and t.is_alive()]
 
 
-@pytest.fixture
-def fast_retry():
-    """Three attempts, sub-millisecond deterministic backoff."""
-    return RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
-
-
 # ------------------------------------------------------------ quarantine
 def test_crashing_submission_quarantined_siblings_complete(
-    tmp_path, inproc_address, tiny_scenario, fast_retry, monkeypatch
+    tmp_path, inproc_address, tiny_scenario, monkeypatch
 ):
     """A worker-crashing submission is retried with backoff, isolated
-    from its batch, and quarantined after max_attempts — while the
-    sibling it shared a wave with completes."""
-    import repro.service.worker as worker_mod
+    from its batch, and quarantined once its retries are spent — while
+    the sibling it shared a wave with completes."""
+    import repro.service.scheduler as scheduler_mod
 
-    real = worker_mod.run_batch
+    real = scheduler_mod.run_batch
     release = threading.Event()
     batches = []
 
@@ -67,9 +60,9 @@ def test_crashing_submission_quarantined_siblings_complete(
             raise RuntimeError("worker crashed hard")
         return real(payloads)
 
-    monkeypatch.setattr(worker_mod, "run_batch", crashing)
+    monkeypatch.setattr(scheduler_mod, "run_batch", crashing)
     svc = SchedulerService(
-        store=ResultStore(tmp_path / "results"), retry=fast_retry
+        store=ResultStore(tmp_path / "results"), retries=2
     ).start(inproc_address)
     try:
         with ServiceClient(inproc_address) as client:
@@ -90,16 +83,14 @@ def test_crashing_submission_quarantined_siblings_complete(
             status = client.status(poison)
             assert status["state"] == "failed"
             assert status["quarantined"] is True
-            assert status["attempts"] == fast_retry.max_attempts
+            assert status["attempts"] == 3
             # The backoff schedule rides in the status: one entry per
-            # retry, with the deterministic delay and a wall timestamp.
+            # retry, with the fixed delay and a wall timestamp.
             retries = status["retries"]
-            assert len(retries) == fast_retry.max_attempts - 1
+            assert len(retries) == 2
             for i, r in enumerate(retries, start=1):
                 assert r["attempt"] == i
-                assert r["delay"] == pytest.approx(
-                    fast_retry.delay(i, status["content_hash"])
-                )
+                assert r["delay"] == backoff(i)
                 assert r["at"] > 0
                 assert "crashed hard" in r["error"]
 
@@ -124,9 +115,9 @@ def test_wedged_worker_times_out_and_is_replaced(
 ):
     """A batch exceeding the timeout is retried on a fresh worker; the
     wedged one is abandoned instead of wedging the wave."""
-    import repro.service.worker as worker_mod
+    import repro.service.scheduler as scheduler_mod
 
-    real = worker_mod.run_batch
+    real = scheduler_mod.run_batch
     wedge = threading.Event()
     calls = []
 
@@ -136,10 +127,9 @@ def test_wedged_worker_times_out_and_is_replaced(
             wedge.wait(timeout=10)  # simulate a hang >> timeout
         return real(payloads)
 
-    monkeypatch.setattr(worker_mod, "run_batch", wedging)
-    retry = RetryPolicy(max_attempts=2, base_delay=0.001, timeout=0.25)
+    monkeypatch.setattr(scheduler_mod, "run_batch", wedging)
     svc = SchedulerService(
-        store=ResultStore(tmp_path / "results"), retry=retry
+        store=ResultStore(tmp_path / "results"), retries=1, timeout=0.25
     ).start(inproc_address)
     try:
         with ServiceClient(inproc_address) as client:
@@ -164,16 +154,16 @@ def test_wedged_worker_times_out_and_is_replaced(
 def test_bounded_queue_rejects_with_busy(
     tmp_path, inproc_address, tiny_scenario, monkeypatch
 ):
-    import repro.service.worker as worker_mod
+    import repro.service.scheduler as scheduler_mod
 
-    real = worker_mod.run_batch
+    real = scheduler_mod.run_batch
     release = threading.Event()
 
     def stalled(payloads):
         release.wait(timeout=30)
         return real(payloads)
 
-    monkeypatch.setattr(worker_mod, "run_batch", stalled)
+    monkeypatch.setattr(scheduler_mod, "run_batch", stalled)
     svc = SchedulerService(
         store=ResultStore(tmp_path / "results"), max_queue=1
     ).start(inproc_address)
@@ -206,9 +196,9 @@ def test_fair_queuing_interleaves_competing_clients(
     """Start-tag fair queuing at the front door: a client that queued
     three submissions cannot starve a client that queued one — the
     other client's first submission drains before the backlog."""
-    import repro.service.worker as worker_mod
+    import repro.service.scheduler as scheduler_mod
 
-    real = worker_mod.run_batch
+    real = scheduler_mod.run_batch
     release = threading.Event()
     order = []
 
@@ -219,9 +209,9 @@ def test_fair_queuing_interleaves_competing_clients(
         order.extend(names)
         return real(payloads)
 
-    monkeypatch.setattr(worker_mod, "run_batch", recording)
+    monkeypatch.setattr(scheduler_mod, "run_batch", recording)
     svc = SchedulerService(
-        store=ResultStore(tmp_path / "results"), batching=False
+        store=ResultStore(tmp_path / "results")
     ).start(inproc_address)
     try:
         with ServiceClient(inproc_address) as alice, \
@@ -238,7 +228,8 @@ def test_fair_queuing_interleaves_competing_clients(
         release.set()
         svc.stop()
     # b1 carries a lower start tag than alice's backlog: it runs right
-    # after the in-flight a1, ahead of a2/a3.
+    # after the in-flight a1, ahead of a2/a3 — all three queued ones in
+    # one same-cluster batch, ordered by start tag.
     assert order == ["a1", "b1", "a2", "a3"]
 
 
@@ -250,16 +241,16 @@ def test_stop_mid_drain_recovers_via_journal(
     running submissions stay journaled as incomplete, worker threads
     wind down, and a fresh scheduler over the same journal finishes
     them with ``metrics_hash`` parity."""
-    import repro.service.worker as worker_mod
+    import repro.service.scheduler as scheduler_mod
 
-    real = worker_mod.run_batch
+    real = scheduler_mod.run_batch
     release = threading.Event()
 
     def stalled(payloads):
         release.wait(timeout=30)
         return real(payloads)
 
-    monkeypatch.setattr(worker_mod, "run_batch", stalled)
+    monkeypatch.setattr(scheduler_mod, "run_batch", stalled)
     journal_path = tmp_path / "journal.jsonl"
     store_root = tmp_path / "results"
     svc = SchedulerService(
@@ -271,8 +262,8 @@ def test_stop_mid_drain_recovers_via_journal(
             subs.append(client.submit(tiny_scenario(name=f"scn-{i}")))
     svc.stop()  # one running (stalled), two queued — none finished
 
-    replay = SubmissionJournal(journal_path).replay()
-    assert sorted(e.sub_id for e in replay.incomplete) == sorted(subs)
+    incomplete = SubmissionJournal(journal_path).replay()
+    assert sorted(r["sub_id"] for r in incomplete) == sorted(subs)
     release.set()
     assert _wait(_no_worker_threads, timeout=10), (
         "worker threads leaked past stop()"
@@ -312,12 +303,11 @@ def test_recovery_answers_already_stored_results_from_store(
 
     journal_path = tmp_path / "journal.jsonl"
     journal = SubmissionJournal(journal_path)
-    journal.record_submit(JournalEntry(
-        sub_id="sub-000007", name=scenario.name,
-        content_hash=scenario.content_hash(), cluster="x",
-        scenario_json=scenario.to_json(),
-    ))
-    journal.record_start("sub-000007", attempt=1)
+    sub = journal.acknowledge(scenario.content_hash(), {
+        "name": scenario.name, "client": "c", "cluster": "x",
+        "scenario": scenario.to_json(),
+    })
+    journal.record_start(sub, attempt=1)
     journal.close()
 
     svc = SchedulerService(
@@ -329,12 +319,12 @@ def test_recovery_answers_already_stored_results_from_store(
             assert stats["recovered"] == 1
             assert stats["cache_hits"] == 1
             assert stats["executed"] == 0
-            status = client.status("sub-000007")
+            status = client.status(sub)
             assert status["state"] == "done" and status["cached"] is True
-            assert client.result("sub-000007").to_json() == manifest.to_json()
+            assert client.result(sub).to_json() == manifest.to_json()
             # New ids continue past the recovered ones.
             fresh = client.submit(tiny_scenario(name="fresh"))
-            assert fresh == "sub-000008"
+            assert fresh == "sub-000002"
             client.result(fresh)
     finally:
         svc.stop()
@@ -381,11 +371,15 @@ def test_corrupt_store_entry_surfaces_in_stats(
 
 
 # -------------------------------------------------------- store budgeting
-def test_scheduler_evicts_store_over_entry_budget(
+def test_scheduler_evicts_store_over_byte_budget(
     tmp_path, inproc_address, tiny_scenario
 ):
+    # A budget with room for two of the four equal-sized manifests.
+    probe = ResultStore(tmp_path / "probe")
+    probe.put(run_scenario(tiny_scenario(name="e0")))
     svc = SchedulerService(
-        store=ResultStore(tmp_path / "results"), store_max_entries=2
+        store=ResultStore(tmp_path / "results"),
+        store_max_bytes=int(2.5 * probe.size_bytes()),
     ).start(inproc_address)
     try:
         with ServiceClient(inproc_address) as client:

@@ -93,11 +93,11 @@ def test_identical_cluster_scenarios_share_a_batch(
     """Queued same-cluster submissions drain as one warm-worker batch."""
     import threading
 
-    import repro.service.worker as worker_mod
+    import repro.service.scheduler as scheduler_mod
 
     release = threading.Event()
     sizes = []
-    real = worker_mod.run_batch
+    real = scheduler_mod.run_batch
 
     def stalled(payloads):
         sizes.append(len(payloads))
@@ -106,7 +106,7 @@ def test_identical_cluster_scenarios_share_a_batch(
 
     # jobs=1 runs batches on a warm thread in-process, so the patch
     # reaches the worker.
-    monkeypatch.setattr(worker_mod, "run_batch", stalled)
+    monkeypatch.setattr(scheduler_mod, "run_batch", stalled)
     client = service.client()
     ids = [client.submit(tiny_scenario(seed=7, name="n0"))]
     # While wave 1 is stalled, two more same-cluster submissions queue.
@@ -180,16 +180,7 @@ def test_stats_reports_store_and_address(service, inproc_address):
     stats = service.client().stats()
     assert stats["address"] == inproc_address
     assert stats["store"].endswith("results")
-    assert stats["jobs"] == 1 and stats["batching"] is True
-
-
-def test_core_and_store_are_exclusive(tmp_path):
-    from repro.execution import ExecutionCore
-
-    with pytest.raises(ValueError, match="not both"):
-        SchedulerService(
-            core=ExecutionCore(), store=ResultStore(tmp_path)
-        )
+    assert stats["jobs"] == 1
 
 
 def test_double_start_rejected(service, inproc_address):

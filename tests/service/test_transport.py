@@ -2,12 +2,12 @@
 
 import asyncio
 import threading
+from contextlib import closing
 
 import pytest
 
 from repro.service import ServiceTimeout, connect, listen, parse_address
-from repro.service.protocol import decode, encode, error_message
-from repro.service.transport import register_transport
+from repro.service.transport import decode, encode, error_message
 
 
 def test_parse_address():
@@ -82,14 +82,14 @@ def test_channel_round_trip(address):
     try:
         if address.startswith("tcp"):
             assert not bound.endswith(":0")  # listener reports real port
-        with connect(bound) as chan:
+        with closing(connect(bound)) as chan:
             for i in range(3):
                 chan.send({"op": "ping", "i": i})
                 assert chan.recv(timeout=5) == {
                     "op": "echo", "got": {"op": "ping", "i": i},
                 }
         # A second connection works independently.
-        with connect(bound) as chan:
+        with closing(connect(bound)) as chan:
             chan.send({"op": "again"})
             assert chan.recv(timeout=5)["got"] == {"op": "again"}
     finally:
@@ -106,7 +106,7 @@ def test_recv_timeout_raises_service_timeout(address):
     server = _EchoLoop()
     bound = server.start(address)
     try:
-        with connect(bound) as chan:
+        with closing(connect(bound)) as chan:
             # Nothing sent — nothing will ever arrive.
             with pytest.raises(ServiceTimeout, match="no reply"):
                 chan.recv(timeout=0.05)
@@ -141,24 +141,3 @@ def test_inproc_double_listen_rejected():
         other._thread.join(timeout=5)
     finally:
         server.stop()
-
-
-def test_register_transport_dispatches():
-    seen = {}
-
-    def fake_connect(rest):
-        seen["rest"] = rest
-        raise ConnectionError("fake transport, nothing to reach")
-
-    async def fake_listen(rest, handler):  # pragma: no cover
-        raise NotImplementedError
-
-    register_transport("fake", fake_listen, fake_connect)
-    try:
-        with pytest.raises(ConnectionError, match="fake transport"):
-            connect("fake://somewhere")
-        assert seen["rest"] == "somewhere"
-    finally:
-        from repro.service.transport import _TRANSPORTS
-
-        _TRANSPORTS.pop("fake", None)

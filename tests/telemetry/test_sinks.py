@@ -8,10 +8,8 @@ from repro.telemetry import (
     DEPTH_CHANGED,
     REQUEST_COMPLETED,
     REQUEST_SUBMITTED,
-    AppRateMeterSink,
     CounterSink,
     DepthChanged,
-    LatencyWindowSink,
     TelemetryBus,
     TimeSeriesSink,
 )
@@ -57,31 +55,3 @@ def test_counter_sink_counts_and_sums():
     assert count.total == 6 * MB
     assert submitted.count == 2
     assert submitted.total == 0.0  # no amount extractor
-
-
-def test_app_rate_meter_sink_matches_scheduler_stats():
-    bus = TelemetryBus()
-    sink = AppRateMeterSink(bus, source="n0")
-    sched = _run_stack(bus, [("a", "read", 4), ("a", "read", 4),
-                             ("b", "write", 2)])
-    assert set(sink.meter_by_app) == {"a", "b"}
-    assert sink.meter("a").total == 8 * MB
-    assert sink.meter("b").total == 2 * MB
-    assert sink.meter("nobody") is None
-    # The external sink reconstructs exactly the scheduler's own stats.
-    for app, meter in sink.meter_by_app.items():
-        own = sched.stats.meter_by_app[app]
-        assert meter.times == own.times
-        assert meter.amounts == own.amounts
-
-
-def test_latency_window_sink_splits_ops_and_drains():
-    bus = TelemetryBus()
-    sink = LatencyWindowSink(bus, source="n0")
-    _run_stack(bus, [("a", "read", 10), ("b", "write", 20)])
-    assert len(sink.window_read_latencies) == 1
-    assert len(sink.window_write_latencies) == 1
-    assert sink.window_read_latencies[0] > 0.0
-    reads, writes = sink.drain()
-    assert len(reads) == 1 and len(writes) == 1
-    assert sink.drain() == ([], [])
