@@ -16,14 +16,19 @@ import pathlib
 
 import pytest
 
-from repro.config import default_cluster
+from repro.config import SSD_PROFILE, default_cluster
 from repro.experiments import (
     fig2_io_profiles,
     fig3_contention,
     fig6_isolation_hdd,
+    fig7_depth_adaptation,
+    fig8_isolation_ssd,
     fig9_facebook,
+    fig11_proportional_slowdown,
+    fig12_coordination,
     fig13_overhead,
     mixed_policy_ablation,
+    tab2_resource_usage,
     tab3_loc,
 )
 from repro.experiments.report import result_payload
@@ -105,6 +110,24 @@ def test_mixed_policy_ablation_schema():
     assert sd["ibis-persistent"] <= sd["ibis-uniform"] + 1e-9
     assert sd["ibis-uniform"] < sd["native"]
     assert sd["ibis-intermediate"] == pytest.approx(sd["native"])
+
+
+# Artifacts pinned by digest alone.  fig8 runs on its SSD setup; fig11
+# searches 14 cluster runs, so it is pinned at 1/1024 to keep tier-1
+# quick (~2 s there, ~7 s at 1/256).
+DIGEST_ONLY = {
+    "fig7": lambda: fig7_depth_adaptation(TINY),
+    "fig8": lambda: fig8_isolation_ssd(
+        default_cluster(scale=1 / 256, storage=SSD_PROFILE)),
+    "fig11": lambda: fig11_proportional_slowdown(default_cluster(scale=1 / 1024)),
+    "fig12": lambda: fig12_coordination(TINY),
+    "tab2": lambda: tab2_resource_usage(TINY),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_ONLY))
+def test_artifact_digest(name):
+    assert_digest(name, DIGEST_ONLY[name]())
 
 
 def test_tab3_counts_real_files():
