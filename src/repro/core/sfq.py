@@ -118,7 +118,10 @@ class SFQDScheduler(IOScheduler):
             self._finish_tags[app] = req.prev_finish
 
     def _try_dispatch(self) -> None:
-        while self._queue and self.outstanding < self.depth:
+        if not self._queue:
+            return
+        depth = self.depth  # dispatching never changes D
+        while self._queue and self.outstanding < depth:
             start, _seq, req = heapq.heappop(self._queue)
             self.virtual_time = max(self.virtual_time, start)
             self._dispatch_to_device(req)

@@ -71,9 +71,11 @@ TRANSITIONS: dict[RequestState, frozenset[RequestState]] = {
 
 # Denormalize the tables onto the members themselves: every request
 # transition checks ``to in state.allowed`` (IORequest._advance), and
-# at a million requests per run the extra dict hop is measurable.
+# at a million requests per run the extra dict hop is measurable.  A
+# tuple, unlike a frozenset, tests membership by identity without a
+# Python-level ``Enum.__hash__`` call.
 for _state in RequestState:
-    _state.allowed = TRANSITIONS[_state]
+    _state.allowed = tuple(s for s in RequestState if s in TRANSITIONS[_state])
     _state._terminal = _state in _TERMINAL
 del _state
 

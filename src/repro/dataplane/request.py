@@ -67,7 +67,7 @@ class IORequest:
         self.nbytes = int(nbytes)
         self.io_class = io_class
         self.state: RequestState = RequestState.SUBMITTED
-        self.completion: Event = Event(sim, name=f"ioreq:{tag.app_id}:{op}")
+        self.completion: Event = Event(sim, name="ioreq")
         self.start_tag: float = 0.0
         self.finish_tag: float = 0.0
         self.prev_finish: float = 0.0

@@ -85,12 +85,14 @@ class RateMeter:
         self.times: list[float] = []
         self.amounts: list[float] = []
         self.total = 0.0
+        self._last = float("-inf")  # times[-1], cached for add()
 
     def add(self, t: float, amount: float) -> None:
         if amount < 0:
             raise ValueError(f"negative amount in rate meter {self.name!r}")
-        if self.times and t < self.times[-1]:
+        if t < self._last:
             raise ValueError(f"non-monotone time in rate meter {self.name!r}")
+        self._last = t
         self.times.append(t)
         self.amounts.append(amount)
         self.total += amount

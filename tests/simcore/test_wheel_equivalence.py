@@ -1,86 +1,24 @@
 """Property test: the event wheel is observationally a binary heap.
 
 Random schedule/pop/withdraw sequences are applied to an
-:class:`EventWheel` and the reference :class:`HeapEventQueue` below in
+:class:`EventWheel` and the reference :class:`HeapEventQueue` in
 lockstep; every pop must return the identical ``(when, seq, event)``
 entry — including same-timestamp tie-breaks, which is the determinism
 invariant the figure goldens rest on.  A second layer runs a real
-simulation (processes, interrupts, device I/O) on both queues and
+simulation (processes, interrupts, device I/O) on the engine and on
+:class:`HeapSimulator`, which orders every event in one heap, and
 compares the observable trace.
 """
 
 import random
-from heapq import heapify, heappop, heappush
 
 import pytest
 
 from repro.config import HDD_PROFILE, MB
 from repro.simcore import EventWheel, Interrupt, Simulator
-from repro.simcore.wheel import _MIN_SWEEP, WITHDRAWN
+from repro.simcore.wheel import WITHDRAWN
 from repro.storage.device import StorageDevice
-
-
-class HeapEventQueue:
-    """The engine's original binary-heap queue: the wheel's oracle.
-
-    Same push/pop/peek/withdraw/compact surface and the same tombstone
-    accounting as :class:`EventWheel`; pop order is ``(when, seq)``.
-    """
-
-    __slots__ = ("_heap", "_seq", "_live", "_tombstones", "tombstones_compacted")
-
-    def __init__(self):
-        self._heap = []
-        self._seq = 0
-        self._live = 0
-        self._tombstones = 0
-        self.tombstones_compacted = 0
-
-    def __len__(self):
-        return self._live
-
-    @property
-    def tombstones(self):
-        return self._tombstones
-
-    def push(self, when, ev):
-        self._seq = seq = self._seq + 1
-        self._live += 1
-        heappush(self._heap, (when, seq, ev))
-        return seq
-
-    def _settle(self):
-        heap = self._heap
-        while heap and heap[0][2]._state == WITHDRAWN:
-            heappop(heap)
-            self._tombstones -= 1
-        return bool(heap)
-
-    def pop(self, limit=float("inf")):
-        if not self._settle() or self._heap[0][0] > limit:
-            return None
-        self._live -= 1
-        return heappop(self._heap)
-
-    def peek(self):
-        return self._heap[0][0] if self._settle() else float("inf")
-
-    def withdraw(self, ev):
-        ev._state = WITHDRAWN
-        ev.callbacks = None
-        self._live -= 1
-        self._tombstones += 1
-        if self._tombstones > _MIN_SWEEP and self._tombstones > self._live:
-            self.compact()
-
-    def compact(self):
-        keep = [e for e in self._heap if e[2]._state != WITHDRAWN]
-        swept = len(self._heap) - len(keep)
-        heapify(keep)
-        self._heap = keep
-        self._tombstones -= swept
-        self.tombstones_compacted += swept
-        return swept
+from tests.simcore.oracle import HeapEventQueue, HeapSimulator
 
 
 class _Ev:
@@ -188,15 +126,13 @@ def test_compaction_triggers_and_preserves_order():
     assert len(out_q) == 200
 
 
-def _scripted_simulation(queue, use_run):
+def _scripted_simulation(sim, use_run):
     """A deliberately messy model: sleeps, interrupts, device I/O, and
     abandoned timeouts, all racing on shared timestamps.
 
-    With ``use_run`` the model runs through :meth:`Simulator.run` and its
-    inlined wheel pop; otherwise a plain ``peek``/``step`` loop drives it
-    to the same horizon, which works on any queue."""
-    sim = Simulator()
-    sim._queue = queue  # before the device binds the queue's withdraw
+    With ``use_run`` the model runs through :meth:`Simulator.run`;
+    otherwise a plain ``peek``/``step`` loop drives it to the same
+    horizon, which works on any engine."""
     dev = StorageDevice(sim, HDD_PROFILE, name="d0")
     trace = []
 
@@ -211,6 +147,9 @@ def _scripted_simulation(queue, use_run):
         for i in range(n):
             done = yield dev.submit("write" if i % 3 == 0 else "read", 2 * MB)
             trace.append((sim.now, name, round(done.latency, 9)))
+            # Same-instant hops between the device's completion events.
+            yield sim.timeout(0.0)
+            trace.append((sim.now, name, "hop"))
 
     def meddler(targets):
         yield sim.timeout(1.0)
@@ -224,20 +163,22 @@ def _scripted_simulation(queue, use_run):
     workers = [sim.process(io_worker(f"w{i}", 6), name=f"w{i}")
                for i in range(4)]
     sim.process(meddler(sleepers), name="meddler")
+    sim.call_at(1.0, lambda: trace.append((sim.now, "call_at", len(workers))))
     if use_run:
         sim.run(until=30.0)
     else:
         while sim.peek() <= 30.0:
             sim.step()
         sim.now = 30.0
-    trace.append((sim.now, "queue", len(queue)))
+    trace.append((sim.now, "queue", len(sim._queue)))
     return trace
 
 
 def test_full_simulation_identical_on_both_queues():
-    heap_trace = _scripted_simulation(HeapEventQueue(), use_run=False)
-    assert _scripted_simulation(EventWheel(), use_run=False) == heap_trace
-    assert _scripted_simulation(EventWheel(), use_run=True) == heap_trace
+    oracle = _scripted_simulation(HeapSimulator(), use_run=False)
+    assert _scripted_simulation(HeapSimulator(), use_run=True) == oracle
+    assert _scripted_simulation(Simulator(), use_run=False) == oracle
+    assert _scripted_simulation(Simulator(), use_run=True) == oracle
 
 
 def test_withdrawn_state_is_terminal():

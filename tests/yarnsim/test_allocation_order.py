@@ -85,13 +85,14 @@ class Driven:
     """One RM plus the log of its grants, in the order they fire.
 
     The RM only hands its simulator to the events it creates, and a
-    granted event pushes itself on the simulator; a stand-in that records
-    those pushes gives the grant order without running an event loop.
+    granted event pushes itself onto the simulator's same-instant FIFO;
+    a stand-in whose FIFO is a plain list records those pushes, which
+    gives the grant order without running an event loop.
     """
 
     def __init__(self, cls):
         self.fired = []
-        sim = SimpleNamespace(_push=lambda delay, ev: self.fired.append(ev))
+        sim = SimpleNamespace(_queue=SimpleNamespace(_seq=0), _now_q=self.fired)
         self.rm = cls(sim, NODES, cores_per_node=4, memory_per_node=8 * GB)
         self.requests = {}  # event -> (app_id, seq)
         self.log = []   # (seq, node_id) per grant
