@@ -5,7 +5,8 @@ TelemetryBus` at construction and accumulates a particular view of the
 event stream.  The figures are assembled from them — nothing reads
 another component's internals, it reads (or attaches) a sink.  A
 scheduler's per-app service, throughput meters and latency window live
-in :class:`~repro.core.base.SchedulerStats`, itself a bus subscriber.
+in :class:`~repro.core.base.SchedulerStats`, which the scheduler updates
+before it publishes each completion.
 """
 
 from __future__ import annotations
