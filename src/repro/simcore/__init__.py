@@ -1,9 +1,10 @@
 """Discrete-event simulation core.
 
 A small, dependency-free discrete-event engine in the style of SimPy:
-generator-coroutine processes scheduled over a bucketed event wheel,
-with deterministic tie-breaking, counting resources, stores, and
-instrumentation primitives (time series, rate meters).
+generator-coroutine processes scheduled over a same-instant FIFO and
+a bucketed event wheel, with deterministic tie-breaking, counting
+resources, stores, and instrumentation primitives (time series, rate
+meters).
 
 Everything in the IBIS reproduction — storage devices, HDFS, YARN,
 MapReduce tasks, and the IBIS schedulers themselves — runs on this engine.
