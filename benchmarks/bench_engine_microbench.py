@@ -7,7 +7,7 @@ baseline in ``BENCH_engine.json`` so CI fails on regressions.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine_microbench.py                 # full tier
-    PYTHONPATH=src python benchmarks/bench_engine_microbench.py --tier smoke    # CI-sized
+    PYTHONPATH=src python benchmarks/bench_engine_microbench.py --smoke         # CI-sized
     PYTHONPATH=src python benchmarks/bench_engine_microbench.py --write         # refresh baseline
     PYTHONPATH=src python benchmarks/bench_engine_microbench.py --check         # fail below baseline
 
@@ -167,11 +167,8 @@ def check_against_baseline(results: dict[str, float], mode: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tier", choices=sorted(TIER_PARAMS),
-                        default=None,
-                        help="workload tier (default: full)")
     parser.add_argument("--smoke", action="store_true",
-                        help="alias for --tier smoke (CI-sized)")
+                        help="run the CI-sized smoke tier (default: full)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="take best-of-N (default 3)")
     parser.add_argument("--write", action="store_true",
@@ -180,9 +177,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="compare against BENCH_engine.json; exit 1 on "
                              "a regression beyond the tolerance")
     args = parser.parse_args(argv)
-    if args.tier and args.smoke and args.tier != "smoke":
-        parser.error("--smoke conflicts with --tier " + args.tier)
-    tier = args.tier or ("smoke" if args.smoke else "full")
+    tier = "smoke" if args.smoke else "full"
 
     results = run_suite(tier, repeats=args.repeats)
     if args.write:

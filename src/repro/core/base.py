@@ -131,7 +131,6 @@ class IOScheduler:
         self.telemetry = telemetry if telemetry is not None else TelemetryBus()
         self.stats = SchedulerStats(self.name)
         self.outstanding = 0
-        self._completion_hooks: list[Callable[[IORequest, IOCompletion], None]] = []
         self._submit_hooks: list[Callable[[IORequest], None]] = []
 
     # ------------------------------------------------------------- registry
@@ -221,11 +220,6 @@ class IOScheduler:
     def add_submit_hook(self, hook: Callable[[IORequest], None]) -> None:
         self._submit_hooks.append(hook)
 
-    def add_completion_hook(
-        self, hook: Callable[[IORequest, IOCompletion], None]
-    ) -> None:
-        self._completion_hooks.append(hook)
-
     @property
     def queued(self) -> int:
         """Requests accepted but not yet dispatched (0 for passthrough)."""
@@ -308,9 +302,6 @@ class IOScheduler:
                 latency=done.latency, weight=tag.weight,
             ))
         self._publish_span(req, "completed")
-        if self._completion_hooks:
-            for hook in self._completion_hooks:
-                hook(req, done)
         self._on_complete(req, done)
         req.completion.succeed(done)
 

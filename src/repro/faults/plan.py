@@ -54,6 +54,8 @@ FAULT_KINDS = (NODE_CRASH, SLOW_DISK, LINK_DEGRADE, BROKER_OUTAGE)
 
 _DEVICES = ("hdfs", "tmp")
 
+_INF = float("inf")
+
 
 def _canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -81,25 +83,26 @@ class FaultEvent:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if self.at < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.at}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        # Every time must be finite: `< _INF` also rejects NaN.
+        if not 0 <= self.at < _INF:
+            raise ValueError(f"at must be finite and >= 0, got {self.at}")
+        if not 0 <= self.jitter < _INF:
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
         if self.kind == BROKER_OUTAGE:
             if self.target:
                 raise ValueError("broker_outage takes no target")
-            if self.duration <= 0:
-                raise ValueError("broker_outage needs duration > 0")
+            if not 0 < self.duration < _INF:
+                raise ValueError(f"broker_outage needs a finite duration > 0, got {self.duration}")
             return
         if not self.target:
             raise ValueError(f"{self.kind} needs a target node")
         if self.kind == NODE_CRASH:
-            if self.duration < 0:
-                raise ValueError("node_crash duration must be >= 0 (0 = permanent)")
+            if not 0 <= self.duration < _INF:
+                raise ValueError(f"node_crash needs a finite duration >= 0, got {self.duration}")
             return
         # slow_disk / link_degrade
-        if self.duration <= 0:
-            raise ValueError(f"{self.kind} needs duration > 0")
+        if not 0 < self.duration < _INF:
+            raise ValueError(f"{self.kind} needs a finite duration > 0, got {self.duration}")
         if not (0.0 < self.factor <= 1.0):
             raise ValueError(
                 f"{self.kind} factor must be in (0, 1], got {self.factor}"
@@ -198,10 +201,10 @@ class FaultPlan:
             if not isinstance(ev, FaultEvent):
                 raise TypeError(f"events must be FaultEvent, got {type(ev).__name__}")
         object.__setattr__(self, "events", evs)
-        if self.read_backoff < 0:
-            raise ValueError(f"read_backoff must be >= 0, got {self.read_backoff}")
-        if self.read_timeout < 0:
-            raise ValueError(f"read_timeout must be >= 0, got {self.read_timeout}")
+        if not 0 <= self.read_backoff < _INF:
+            raise ValueError(f"read_backoff must be finite and >= 0, got {self.read_backoff}")
+        if not 0 <= self.read_timeout < _INF:
+            raise ValueError(f"read_timeout must be finite and >= 0, got {self.read_timeout}")
         if self.max_read_attempts < 1:
             raise ValueError(
                 f"max_read_attempts must be >= 1, got {self.max_read_attempts}"

@@ -146,8 +146,11 @@ class JobEntry:
             raise ValueError(f"entry {self.key!r}: weights must be positive")
         if self.max_cores is not None and self.max_cores <= 0:
             raise ValueError(f"entry {self.key!r}: max_cores must be positive")
-        if self.submit_at < 0:
-            raise ValueError(f"entry {self.key!r}: submit_at must be >= 0")
+        if not 0 <= self.submit_at < float("inf"):  # also rejects NaN
+            raise ValueError(
+                f"entry {self.key!r}: submit_at must be finite and >= 0, "
+                f"got {self.submit_at}"
+            )
         if self.app == "hive" and "query" not in self.params:
             raise ValueError("hive entries need params['query']")
         object.__setattr__(self, "params", _freeze_params(self.params))

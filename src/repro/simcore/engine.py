@@ -4,7 +4,7 @@ The engine is deliberately minimal but complete enough to host the whole
 IBIS cluster simulation:
 
 * :class:`Simulator` owns the clock, a FIFO of events due now and a
-  bucketed event wheel of later ones, with deterministic ``(time,
+  queue of later ones keyed by due time, with deterministic ``(time,
   sequence)`` ordering, so two runs with the same seeds produce
   identical traces.
 * :class:`Event` is a one-shot occurrence that callbacks (or processes)
@@ -15,14 +15,16 @@ IBIS cluster simulation:
 * :class:`Timeout` is an event that triggers after a simulated delay.
 * Processes can be interrupted (:class:`Interrupt`), which is how task
   preemption is modelled.
+
+Delays and times must be finite and not in the past: anything else
+raises :class:`SimulationError` where it is scheduled.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
-
-from repro.simcore.wheel import EventWheel, WITHDRAWN
 
 __all__ = [
     "Event",
@@ -36,6 +38,12 @@ __all__ = [
     "AllOf",
     "AnyOf",
 ]
+
+_INF = float("inf")
+
+#: Don't sweep a queue holding this few withdrawn entries: the scan
+#: costs more than letting them pop as no-ops.
+_MIN_SWEEP = 32
 
 
 class SimulationError(Exception):
@@ -82,7 +90,9 @@ class Interrupt(Exception):
 _PENDING = 0
 _TRIGGERED = 1  # scheduled for processing, value/exception set
 _PROCESSED = 2  # callbacks have run
-_WITHDRAWN = WITHDRAWN  # queued but dead (tombstone); skipped at pop
+#: queued but dead: skipped when popped, so it never fires.  Greater
+#: than _PROCESSED on purpose: a withdrawn event cannot fire again.
+WITHDRAWN = 3
 
 
 class Event:
@@ -134,14 +144,15 @@ class Event:
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         if self._state != _PENDING:
             raise SimulationError(f"event {self!r} already triggered")
-        self._value = value
-        self._state = _TRIGGERED
+        # Queue first: a rejected delay leaves the event pending.
         sim = self.sim
         if delay:
             sim._push(delay, self)
         else:
             sim._queue._seq += 1
             sim._now_q.append(self)
+        self._value = value
+        self._state = _TRIGGERED
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -149,9 +160,9 @@ class Event:
             raise SimulationError(f"event {self!r} already triggered")
         if not isinstance(exc, BaseException):
             raise SimulationError("fail() requires an exception instance")
+        self.sim._push(delay, self)
         self._exc = exc
         self._state = _TRIGGERED
-        self.sim._push(delay, self)
         return self
 
     # -- internal -----------------------------------------------------------
@@ -174,14 +185,14 @@ class Timeout(Event):
     """An event that triggers ``delay`` simulated seconds after creation.
 
     It keeps its due time ``when``, so :meth:`Simulator._withdraw` knows
-    whether it waits in the same-instant FIFO or in the wheel.
+    whether it waits in the same-instant FIFO or in the later queue.
     """
 
     __slots__ = ("when",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
+        if not 0.0 <= delay < _INF:  # also rejects NaN
+            raise SimulationError(f"timeout delay must be finite and >= 0, got {delay}")
         # Hot path: inline Event.__init__ and the push, and skip the
         # per-instance formatted name — one Timeout per simulated wait.
         self.sim = sim
@@ -328,7 +339,7 @@ class Process(Event):
                     # Already done: loop synchronously with its outcome.
                     trigger = nxt
                     continue
-                if nxt._state == _WITHDRAWN:
+                if nxt._state == WITHDRAWN:
                     # A withdrawn event can never fire; waiting on it
                     # would hang the process forever.
                     raise SimulationError(
@@ -428,25 +439,107 @@ class AnyOf(Condition):
         super().__init__(sim, events, "any")
 
 
+class _LaterQueue:
+    """Events due after ``now``: a heap of their distinct due times, and
+    a dict from each time to its entries in push order.
+
+    Pushes arrive in ``seq`` order, so each time's list is already in
+    ``(when, seq)`` order and the heap never compares entries.
+    :meth:`pop_batch` hands the simulator every entry of the next time
+    at once.  ``_seq`` counts every push, including those that go
+    straight to the simulator's same-instant FIFO.
+    """
+
+    __slots__ = ("_times", "_at", "_seq", "_size", "_dead")
+
+    def __init__(self):
+        self._times: list[float] = []  # heap of the keys of _at
+        self._at: dict[float, list] = {}
+        self._seq = 0
+        self._size = 0  # entries in _at, withdrawn ones included
+        self._dead = 0  # >= the withdrawn entries in _at; the sweep resets it
+
+    def push(self, when: float, ev: Any) -> None:
+        self._seq += 1
+        self._size += 1
+        entries = self._at.get(when)
+        if entries is None:
+            self._at[when] = [ev]
+            heappush(self._times, when)
+        else:
+            entries.append(ev)
+
+    def pop_batch(self, out: deque, limit: float = _INF) -> Optional[float]:
+        """Move the entries of the next due time into ``out`` in push
+        order and return that time, or return None when no live entry
+        is due by ``limit``.  Withdrawn entries behind a live head move
+        too; whoever pops ``out`` skips them.  A time whose entries are
+        all withdrawn is dropped, without moving the clock to it."""
+        times = self._times
+        while times and times[0] <= limit:
+            when = heappop(times)
+            entries = self._at.pop(when)
+            self._size -= len(entries)
+            if entries[0]._state != WITHDRAWN:  # most batches: one live entry
+                out.extend(entries)
+                return when
+            live = [ev for ev in entries if ev._state != WITHDRAWN]
+            self._dead -= len(entries) - len(live)
+            if live:
+                out.extend(live)
+                return when
+        return None
+
+    def peek(self) -> float:
+        """The next due time with a live entry, or ``inf``; drops the
+        times before it whose entries are all withdrawn."""
+        times, at = self._times, self._at
+        while times:
+            entries = at[times[0]]
+            for ev in entries:
+                if ev._state != WITHDRAWN:
+                    return times[0]
+            del at[heappop(times)]
+            self._size -= len(entries)
+            self._dead -= len(entries)
+        return _INF
+
+    def count_withdrawn(self) -> None:
+        """Count one queued entry as withdrawn; once withdrawals exceed
+        half the queue, sweep every withdrawn entry out in one pass, so
+        abandoned far-future timeouts cannot pile up."""
+        self._dead += 1
+        if self._dead > _MIN_SWEEP and 2 * self._dead > self._size:
+            at = self._at
+            for when, entries in list(at.items()):
+                live = [ev for ev in entries if ev._state != WITHDRAWN]
+                if live:
+                    at[when] = live
+                else:
+                    del at[when]
+            self._times = list(at)
+            heapify(self._times)
+            self._size = sum(map(len, at.values()))
+            self._dead = 0
+
+
 class Simulator:
-    """The event loop: clock, same-instant FIFO and bucketed event wheel.
+    """The event loop: clock, same-instant FIFO and queue of later events.
 
     Ordering is by ``(time, sequence)`` where ``sequence`` is a global
     monotonically increasing counter, making runs fully deterministic.
-    Events due at ``now`` wait in a FIFO (``_now_q``); the wheel
-    (:class:`~repro.simcore.wheel.EventWheel`, a calendar queue with
-    lazy per-bucket sorting and tombstone compaction) holds only later
-    events.  When the FIFO drains, every wheel entry of the next
-    timestamp moves into it in sequence order and the clock advances.
-    Those entries were all pushed before the clock reached their time,
-    so they precede anything pushed at that time: FIFO order is exactly
-    ``(time, sequence)`` order.  The wheel's ``_seq`` counts every
-    scheduled event, FIFO ones included.
+    Events due at ``now`` wait in a FIFO (``_now_q``); later ones wait
+    in ``_queue`` (a :class:`_LaterQueue`).  When the FIFO drains, every
+    entry of the next due time moves into it in sequence order and the
+    clock advances.  Those entries were all pushed before the clock
+    reached their time, so they precede anything pushed at that time:
+    FIFO order is exactly ``(time, sequence)`` order.  The queue's
+    ``_seq`` counts every scheduled event, FIFO ones included.
     """
 
     def __init__(self):
         self.now: float = 0.0
-        self._queue = EventWheel()
+        self._queue = _LaterQueue()
         self._now_q: deque = deque()  # events due at `now`, in seq order
         self._active: Optional[Process] = None
         self._defunct: list[Process] = []  # failed processes, checked in run()
@@ -456,11 +549,6 @@ class Simulator:
         #: orphaned processes killed by request cancellation (no joiner);
         #: counted rather than raised — see :class:`RequestCancelled`.
         self.cancelled_collateral = 0
-
-    @property
-    def tombstones_compacted(self) -> int:
-        """Dead (withdrawn) events removed by queue compaction sweeps."""
-        return self._queue.tombstones_compacted
 
     # -- event construction helpers ------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -480,8 +568,10 @@ class Simulator:
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` at absolute simulated time ``when``."""
-        if when < self.now:
-            raise SimulationError(f"call_at({when}) is in the past (now={self.now})")
+        if not self.now <= when < _INF:
+            raise SimulationError(
+                f"call_at({when}) is in the past or not finite (now={self.now})"
+            )
         ev = Event(self, name="call_at")
         ev.callbacks.append(lambda _ev: fn())
         ev._state = _TRIGGERED
@@ -495,6 +585,8 @@ class Simulator:
     # -- queue internals --------------------------------------------------
     def _push(self, delay: float, ev: Any) -> None:
         """Queue a triggered entry ``delay`` seconds from now."""
+        if not 0.0 <= delay < _INF:  # also rejects NaN
+            raise SimulationError(f"delay must be finite and >= 0, got {delay}")
         now = self.now
         when = now + delay
         if when > now:
@@ -504,16 +596,18 @@ class Simulator:
             self._now_q.append(ev)
 
     def _withdraw(self, ev: Any) -> None:
-        """Tombstone a queued entry the caller owns (see wheel docs).
+        """Withdraw a queued entry the caller owns: mark it dead, so it
+        is skipped when popped and never fires.
 
-        ``ev.when`` tells where it waits: an entry due now is in the
-        FIFO, where marking it is enough — the pop skips it.
+        The caller guarantees the entry is queued (``TRIGGERED``) with
+        no observers left.  ``ev.when`` says where it waits: an entry
+        due now is in the FIFO, and marking it is all; the later queue
+        also counts it, for its sweep.
         """
+        ev._state = WITHDRAWN
+        ev.callbacks = None
         if ev.when > self.now:
-            self._queue.withdraw(ev)
-        else:
-            ev._state = _WITHDRAWN
-            ev.callbacks = None
+            self._queue.count_withdrawn()
 
     # -- running -------------------------------------------------------------
     def step(self) -> None:
@@ -522,7 +616,7 @@ class Simulator:
         while True:
             if now_q:
                 ev = now_q.popleft()
-                if ev._state != _WITHDRAWN:
+                if ev._state != WITHDRAWN:
                     ev._process()
                     return
                 continue
@@ -534,7 +628,7 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if the queue is empty."""
         now_q = self._now_q
-        while now_q and now_q[0]._state == _WITHDRAWN:
+        while now_q and now_q[0]._state == WITHDRAWN:
             now_q.popleft()
         if now_q:
             return self.now
@@ -551,8 +645,8 @@ class Simulator:
         cannot pass silently.
         """
         # The loops below are the simulation's hottest code: locals are
-        # bound once, and each event costs one FIFO pop.  The wheel is
-        # consulted once per distinct timestamp, to move that
+        # bound once, and each event costs one FIFO pop.  The later
+        # queue is consulted once per distinct timestamp, to move that
         # timestamp's entries into the drained FIFO.
         now_q = self._now_q
         popleft = now_q.popleft
@@ -563,7 +657,7 @@ class Simulator:
             while stop_ev._state != _PROCESSED:
                 if now_q:
                     ev = popleft()
-                    if ev._state == _WITHDRAWN:
+                    if ev._state == WITHDRAWN:
                         continue
                     ev._process()
                     if defunct:
@@ -583,7 +677,7 @@ class Simulator:
             while True:
                 if now_q:
                     ev = popleft()
-                    if ev._state == _WITHDRAWN:
+                    if ev._state == WITHDRAWN:
                         continue
                     ev._process()
                     if defunct:

@@ -1,4 +1,4 @@
-"""Instrumentation: time series, counters, and rate meters.
+"""Instrumentation: time series and rate meters.
 
 These are the probes behind every figure in the paper: Fig. 2's
 throughput-vs-time profiles, Fig. 7's depth/latency traces, and the
@@ -8,11 +8,10 @@ per-application service accounting used by the Scheduling Broker.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Counter", "RateMeter", "TimeSeries", "percentile_of"]
+__all__ = ["RateMeter", "TimeSeries"]
 
 
 class TimeSeries:
@@ -36,41 +35,6 @@ class TimeSeries:
 
     def __iter__(self):
         return iter(zip(self.times, self.values))
-
-    def value_at(self, t: float) -> float:
-        """Step-function lookup: the last recorded value at or before t."""
-        if not self.times:
-            raise ValueError(f"empty series {self.name!r}")
-        i = bisect.bisect_right(self.times, t) - 1
-        if i < 0:
-            raise ValueError(f"t={t} precedes first sample of {self.name!r}")
-        return self.values[i]
-
-    def mean(self) -> float:
-        if not self.values:
-            return 0.0
-        return float(np.mean(self.values))
-
-    def window_mean(self, t0: float, t1: float) -> float:
-        """Mean of samples whose timestamps fall in [t0, t1)."""
-        lo = bisect.bisect_left(self.times, t0)
-        hi = bisect.bisect_left(self.times, t1)
-        if hi <= lo:
-            return 0.0
-        return float(np.mean(self.values[lo:hi]))
-
-
-class Counter:
-    """A monotone accumulator (bytes serviced, requests completed, ...)."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.total = 0.0
-
-    def add(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease by {amount}")
-        self.total += amount
 
 
 class RateMeter:
@@ -124,19 +88,3 @@ class RateMeter:
         lo = bisect.bisect_left(self.times, t0)
         hi = bisect.bisect_left(self.times, t1)
         return float(sum(self.amounts[lo:hi]))
-
-    def mean_rate(self, t_end: float | None = None) -> float:
-        if not self.times:
-            return 0.0
-        end = t_end if t_end is not None else self.times[-1]
-        if end <= 0:
-            return 0.0
-        return self.total / end
-
-
-def percentile_of(samples: Sequence[float] | Iterable[float], q: float) -> float:
-    """Convenience wrapper: q-th percentile of a sample list (q in [0,100])."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
-        raise ValueError("percentile of empty sample set")
-    return float(np.percentile(arr, q))

@@ -1,20 +1,19 @@
 """Shared-resource primitives built on the event engine.
 
 * :class:`Resource` — a counting semaphore with a FIFO wait queue.  Used
-  for CPU slots / container allocation on nodes.
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``.
-  Used for request queues and message channels.
+  for a reduce task's parallel shuffle-fetch slots.
 * :class:`Gate` — a broadcast condition: many waiters, one ``open()``.
+  Used for a job's map-output availability.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any
 
 from repro.simcore.engine import Event, SimulationError, Simulator
 
-__all__ = ["Gate", "Resource", "Store"]
+__all__ = ["Gate", "Resource"]
 
 
 class Resource:
@@ -26,9 +25,6 @@ class Resource:
     matching how YARN hands out containers per app request order).
     """
 
-    # At 1000-node scale a cluster holds tens of thousands of these
-    # (per-node CPU slots, queues, gates); slots cut the per-instance
-    # footprint and speed up the attribute access in _grant/put.
     __slots__ = ("sim", "capacity", "in_use", "name", "_waiters")
 
     def __init__(self, sim: Simulator, capacity: int, name: str = ""):
@@ -64,14 +60,6 @@ class Resource:
         self.in_use -= amount
         self._grant()
 
-    def cancel(self, ev: Event) -> bool:
-        """Withdraw a pending acquire.  Returns True if it was removed."""
-        for i, (waiter, amount) in enumerate(self._waiters):
-            if waiter is ev:
-                del self._waiters[i]
-                return True
-        return False
-
     def _grant(self) -> None:
         while self._waiters:
             ev, amount = self._waiters[0]
@@ -83,48 +71,6 @@ class Resource:
             self._waiters.popleft()
             self.in_use += amount
             ev.succeed(amount)
-
-
-class Store:
-    """Unbounded FIFO item store with blocking ``get``.
-
-    ``put`` never blocks (queues in big-data daemons are effectively
-    unbounded and backpressure is modelled at the device, where it
-    belongs for this paper).
-    """
-
-    __slots__ = ("sim", "name", "_items", "_getters")
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.triggered:
-                getter.succeed(item)
-                return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        ev = Event(self.sim, name=f"get:{self.name}")
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns None when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
 
 
 class Gate:

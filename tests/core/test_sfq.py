@@ -8,6 +8,7 @@ from repro.config import MB, StorageProfile
 from repro.core import IOClass, IORequest, IOTag, NativeScheduler, SFQDScheduler
 from repro.simcore import Simulator
 from repro.storage import StorageDevice
+from repro.telemetry import REQUEST_COMPLETED
 
 FLAT = StorageProfile(name="flat", peak_rate=100.0 * MB, n_half=0.0)
 
@@ -181,8 +182,9 @@ def test_completion_and_submit_hooks_fire():
     sim, dev, sched = make_stack()
     seen = {"submit": 0, "complete": 0}
     sched.add_submit_hook(lambda req: seen.__setitem__("submit", seen["submit"] + 1))
-    sched.add_completion_hook(
-        lambda req, done: seen.__setitem__("complete", seen["complete"] + 1)
+    sched.telemetry.subscribe(
+        REQUEST_COMPLETED,
+        lambda ev: seen.__setitem__("complete", seen["complete"] + 1),
     )
     submit(sim, sched, "a", 1.0)
     sim.run()

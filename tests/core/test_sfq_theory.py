@@ -13,6 +13,7 @@ from repro.config import MB, StorageProfile
 from repro.core import IOClass, IORequest, IOTag, SFQDScheduler
 from repro.simcore import Simulator
 from repro.storage import StorageDevice
+from repro.telemetry import REQUEST_COMPLETED
 
 FCFS = StorageProfile(name="f", peak_rate=100.0 * MB, n_half=0.5,
                       discipline="fcfs")
@@ -68,9 +69,9 @@ def test_property_work_conservation(depth):
         if sched.queued > 0 and dev.in_flight == 0:
             violations.append(sim.now)
 
-    # Completion hooks fire before the scheduler re-dispatches, so probe
-    # one (zero-delay) event later, after _on_complete has run.
-    sched.add_completion_hook(lambda req, done: sim.call_in(0.0, check))
+    # request_completed is published before the scheduler re-dispatches,
+    # so probe one (zero-delay) event later, after _on_complete has run.
+    sched.telemetry.subscribe(REQUEST_COMPLETED, lambda ev: sim.call_in(0.0, check))
     for i in range(40):
         req = IORequest(sim, IOTag(f"app{i % 3}", 1.0 + i % 4), "read",
                         1 * MB, IOClass.PERSISTENT)
@@ -90,14 +91,14 @@ def test_sfq_bound_tightens_with_depth_one():
     closed_loop(sim, sched, "lo", 1.0, 1 * MB, streams=4)
     worst = 0.0
 
-    def watch(req, done):
+    def watch(ev):
         nonlocal worst
         hi = sched.stats.service_by_app.get("hi", 0.0)
         lo = sched.stats.service_by_app.get("lo", 0.0)
         if hi + lo > 10 * MB:
             worst = max(worst, abs(hi / 3.0 - lo / 1.0))
 
-    sched.add_completion_hook(watch)
+    sched.telemetry.subscribe(REQUEST_COMPLETED, watch)
     sim.run(until=4.0)
     assert worst <= 2 * (1 * MB / 3.0 + 1 * MB)
 

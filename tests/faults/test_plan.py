@@ -54,6 +54,37 @@ def test_invalid_events_rejected(bad):
         FaultEvent(**bad)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("at", dict(kind=NODE_CRASH, at=NAN, target="dn01")),
+    ("at", dict(kind=NODE_CRASH, at=INF, target="dn01")),
+    ("jitter", dict(kind=NODE_CRASH, at=1.0, target="dn01", jitter=NAN)),
+    ("duration", dict(kind=NODE_CRASH, at=1.0, target="dn01", duration=NAN)),
+    ("duration", dict(kind=NODE_CRASH, at=1.0, target="dn01", duration=INF)),
+    ("duration", dict(kind="slow_disk", at=1.0, target="dn01", duration=NAN,
+                      factor=0.5)),
+    ("duration", dict(kind="broker_outage", at=1.0, duration=INF)),
+])
+def test_non_finite_event_times_rejected(field, bad):
+    with pytest.raises(ValueError, match=field):
+        FaultEvent(**bad)
+
+
+def test_non_finite_event_time_rejected_from_json():
+    with pytest.raises(ValueError, match="at must be finite"):
+        FaultPlan.from_json(
+            '{"events": [{"kind": "node_crash", "at": NaN, "target": "dn01"}]}')
+
+
+@pytest.mark.parametrize("field", ["read_backoff", "read_timeout"])
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_non_finite_plan_times_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        FaultPlan(**{field: value})
+
+
 def test_permanent_crash_is_duration_zero():
     ev = FaultEvent.node_crash(1.0, "dn01")
     assert ev.duration == 0.0  # permanent by convention

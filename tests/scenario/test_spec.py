@@ -131,6 +131,12 @@ def test_until_must_reference_a_job():
         )
 
 
+@pytest.mark.parametrize("text", ["NaN", "Infinity"])
+def test_submit_at_must_be_finite(text):
+    with pytest.raises(ValueError, match="submit_at"):
+        JobEntry.from_dict(json.loads(f'{{"app": "teragen", "submit_at": {text}}}'))
+
+
 def test_duplicate_job_keys_rejected():
     with pytest.raises(ValueError):
         WorkloadSpec(jobs=(JobEntry(app="teragen"), JobEntry(app="teragen")))

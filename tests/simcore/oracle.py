@@ -4,45 +4,34 @@
 :class:`HeapSimulator` runs the real events, processes and devices on
 it: every push, whether due now or later, goes into one ``(when, seq)``
 heap, and every pop takes its minimum.  That total order is the one the
-figure goldens rest on; the wheel, the same-instant FIFO and the batch
-move between them must reproduce it exactly.
+figure goldens rest on; the engine's queue of later events, its
+same-instant FIFO and the batch move between them must reproduce it
+exactly.
 """
 
 from heapq import heapify, heappop, heappush
 
 from repro.simcore import Event, SimulationError, Simulator
-from repro.simcore.engine import _PROCESSED
-from repro.simcore.wheel import _MIN_SWEEP, WITHDRAWN
+from repro.simcore.engine import _MIN_SWEEP, _PROCESSED, WITHDRAWN
 
 
 class HeapEventQueue:
-    """The engine's original binary-heap queue: the wheel's oracle.
+    """The engine's original binary-heap queue: pop order is
+    ``(when, seq)``, and withdrawn entries are swept once they
+    outnumber the live ones."""
 
-    Same push/pop/peek/withdraw/compact surface and the same tombstone
-    accounting as :class:`EventWheel`; pop order is ``(when, seq)``.
-    """
-
-    __slots__ = ("_heap", "_seq", "_live", "_tombstones", "tombstones_compacted")
+    __slots__ = ("_heap", "_seq", "_live", "_tombstones")
 
     def __init__(self):
         self._heap = []
         self._seq = 0
         self._live = 0
         self._tombstones = 0
-        self.tombstones_compacted = 0
-
-    def __len__(self):
-        return self._live
-
-    @property
-    def tombstones(self):
-        return self._tombstones
 
     def push(self, when, ev):
         self._seq = seq = self._seq + 1
         self._live += 1
         heappush(self._heap, (when, seq, ev))
-        return seq
 
     def _settle(self):
         heap = self._heap
@@ -66,16 +55,10 @@ class HeapEventQueue:
         self._live -= 1
         self._tombstones += 1
         if self._tombstones > _MIN_SWEEP and self._tombstones > self._live:
-            self.compact()
-
-    def compact(self):
-        keep = [e for e in self._heap if e[2]._state != WITHDRAWN]
-        swept = len(self._heap) - len(keep)
-        heapify(keep)
-        self._heap = keep
-        self._tombstones -= swept
-        self.tombstones_compacted += swept
-        return swept
+            keep = [e for e in self._heap if e[2]._state != WITHDRAWN]
+            heapify(keep)
+            self._heap = keep
+            self._tombstones = 0
 
 
 class _PushNow:

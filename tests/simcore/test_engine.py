@@ -33,6 +33,43 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("schedule", [
+    lambda sim: sim.timeout(NAN),
+    lambda sim: sim.timeout(INF),
+    lambda sim: sim.call_at(NAN, lambda: None),
+    lambda sim: sim.call_at(INF, lambda: None),
+    lambda sim: sim.call_in(NAN, lambda: None),
+    lambda sim: sim.event().succeed(delay=NAN),
+    lambda sim: sim.event().succeed(delay=-1.0),
+    lambda sim: sim.event().succeed(delay=INF),
+    lambda sim: sim.event().fail(RuntimeError("x"), delay=NAN),
+    lambda sim: sim.event().fail(RuntimeError("x"), delay=-1.0),
+], ids=["timeout-nan", "timeout-inf", "call_at-nan", "call_at-inf",
+        "call_in-nan", "succeed-nan", "succeed-negative",
+        "succeed-inf", "fail-nan", "fail-negative"])
+def test_non_finite_or_negative_time_rejected(schedule):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        schedule(sim)
+    assert sim.peek() == INF  # nothing was queued
+    sim.run()
+    assert sim.now == 0.0
+
+
+def test_rejected_delay_leaves_event_pending():
+    sim = Simulator()
+    ev = sim.event()
+    with pytest.raises(SimulationError):
+        ev.succeed("early", delay=NAN)
+    assert not ev.triggered
+    ev.succeed("late", delay=2.0)
+    sim.run()
+    assert (sim.now, ev.value) == (2.0, "late")
+
+
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Store / Gate."""
+"""Unit tests for Resource / Gate."""
 
 import pytest
 
-from repro.simcore import Gate, Resource, SimulationError, Simulator, Store
+from repro.simcore import Gate, Resource, SimulationError, Simulator
 
 
 def test_resource_grants_up_to_capacity():
@@ -74,15 +74,6 @@ def test_resource_zero_capacity_rejected():
         Resource(sim, capacity=0)
 
 
-def test_resource_cancel_pending_acquire():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    res.acquire()  # takes the unit
-    ev = res.acquire()  # queued
-    assert res.cancel(ev) is True
-    assert res.cancel(ev) is False  # already removed
-
-
 def test_resource_available_accounting():
     sim = Simulator()
     res = Resource(sim, capacity=5)
@@ -91,60 +82,6 @@ def test_resource_available_accounting():
     assert res.available == 3
     res.release(2)
     assert res.available == 5
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-
-    def consumer():
-        item = yield store.get()
-        return item
-
-    store.put("x")
-    assert sim.run(until=sim.process(consumer())) == "x"
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-
-    def consumer():
-        item = yield store.get()
-        return sim.now, item
-
-    def producer():
-        yield sim.timeout(4.0)
-        store.put("late")
-
-    sim.process(producer())
-    assert sim.run(until=sim.process(consumer())) == (4.0, "late")
-
-
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    for item in "abc":
-        store.put(item)
-    sim.process(consumer())
-    sim.run()
-    assert got == ["a", "b", "c"]
-
-
-def test_store_try_get_nonblocking():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put(1)
-    assert store.try_get() == 1
-    assert len(store) == 0
 
 
 def test_gate_broadcasts_to_all_waiters():
