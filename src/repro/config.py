@@ -36,6 +36,8 @@ MB = 1 << 20
 GB = 1 << 30
 TB = 1 << 40
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class StorageProfile:
@@ -74,12 +76,19 @@ class StorageProfile:
     discipline: str = "ps"
 
     def __post_init__(self):
-        if self.peak_rate <= 0:
-            raise ValueError("peak_rate must be positive")
-        if self.n_half < 0:
-            raise ValueError("n_half must be non-negative")
-        if self.read_cost <= 0 or self.write_cost <= 0:
-            raise ValueError("op costs must be positive")
+        # `< _INF` also rejects NaN.
+        for name in ("peak_rate", "read_cost", "write_cost"):
+            value = getattr(self, name)
+            if not 0 < value < _INF:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name in ("n_half", "request_overhead", "flush_duration"):
+            value = getattr(self, name)
+            if not 0 <= value < _INF:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        # An infinite threshold is a device that never storms.
+        if not self.flush_threshold >= 0:
+            raise ValueError(
+                f"flush_threshold must be >= 0, got {self.flush_threshold}")
         if not (0 < self.flush_factor <= 1.0):
             raise ValueError("flush_factor must be in (0, 1]")
         if self.discipline not in ("ps", "fcfs"):

@@ -11,7 +11,9 @@ at the lowest concurrency whose throughput reaches a saturation
 fraction of the maximum.
 
 For asymmetric storage (SSD), reads and writes are profiled separately,
-giving the split references the controller blends at runtime.
+giving the split references the controller blends at runtime.  When the
+two cannot differ on the device model, one sweep serves both (see
+:func:`calibrate_controller`).
 """
 
 from __future__ import annotations
@@ -22,8 +24,13 @@ from repro.config import ClusterConfig, StorageProfile
 from repro.core.sfqd2 import DepthController
 from repro.simcore import Simulator
 from repro.storage import StorageDevice
+from repro.telemetry import FLUSH_SPIKE, TelemetryBus
 
 __all__ = ["ProfilePoint", "profile_device", "calibrate_controller"]
+
+#: The §4 sweep: levels 1.._LEVELS, each issuing for _DURATION seconds.
+_LEVELS = 16
+_DURATION = 20.0
 
 
 @dataclass(frozen=True)
@@ -35,37 +42,74 @@ class ProfilePoint:
     throughput: float   # bytes / second
 
 
+class _ClosedLoop:
+    """The clients of one level, as the owner of their requests: each
+    completion records its latency and, while ``sim.now < duration``,
+    resubmits at once, where a per-client process would have resumed."""
+
+    __slots__ = ("device", "op", "chunk", "duration", "latencies")
+
+    def __init__(self, device: StorageDevice, op: str, chunk: int, duration: float):
+        self.device = device
+        self.op = op
+        self.chunk = chunk
+        self.duration = duration
+        self.latencies: list[float] = []
+
+    def issue(self) -> None:
+        device = self.device
+        if device.sim.now < self.duration:
+            device.submit(self.op, self.chunk, self)
+
+    def _on_device_event(self, _req, record) -> None:
+        self.latencies.append(record._value.latency)
+        self.issue()
+
+
 def profile_device(
     storage: StorageProfile,
     op: str,
     chunk: int,
-    max_concurrency: int = 16,
-    duration: float = 20.0,
+    max_concurrency: int = _LEVELS,
+    duration: float = _DURATION,
 ) -> list[ProfilePoint]:
     """Closed-loop latency/throughput sweep over concurrency levels."""
+    return _sweep(storage, op, chunk, max_concurrency, duration)
+
+
+def _sweep(
+    storage: StorageProfile,
+    op: str,
+    chunk: int,
+    max_concurrency: int = _LEVELS,
+    duration: float = _DURATION,
+    telemetry: TelemetryBus | None = None,
+) -> list[ProfilePoint]:
+    """:func:`profile_device`, each level's device publishing on
+    ``telemetry``."""
     if op not in ("read", "write"):
         raise ValueError(f"unknown op {op!r}")
     points = []
     for n in range(1, max_concurrency + 1):
         sim = Simulator()
-        device = StorageDevice(sim, storage, name="probe")
-        latencies: list[float] = []
-
-        def worker():
-            while sim.now < duration:
-                done = yield device.submit(op, chunk)
-                latencies.append(done.latency)
-
+        device = StorageDevice(sim, storage, name="probe", telemetry=telemetry)
+        loop = _ClosedLoop(device, op, chunk, duration)
         for _ in range(n):
-            sim.process(worker())
-        sim.run(until=duration * 2)  # workers stop issuing at `duration`
-        elapsed = min(sim.now, duration) or duration
+            loop.issue()
+        # Clients stop issuing at `duration`; the run drains the rest.
+        sim.run(until=duration * 2)
+        latencies = loop.latencies
+        if not latencies:
+            raise ValueError(
+                f"profile {storage.name!r}: no {op} of {chunk} bytes completed "
+                f"within {duration * 2:g} s at concurrency {n}"
+            )
         throughput = device.read_meter.total + device.write_meter.total
         points.append(
             ProfilePoint(
                 concurrency=n,
                 latency=sum(latencies) / len(latencies),
-                throughput=throughput / elapsed,
+                throughput=throughput / duration,
             )
         )
     return points
@@ -98,10 +142,21 @@ def calibrate_controller(
 
     Needs to be run once per storage setup (the result is deterministic
     for a given profile, so experiments may also cache it).
+
+    Writes are profiled first.  When reads cost the same work as writes
+    and no write started a flush storm, the device did the same float
+    operations a read sweep would, so the read points are the write
+    points; otherwise reads get their own sweep.
     """
-    chunk = config.io_chunk
-    read_points = profile_device(config.storage, "read", chunk)
-    write_points = profile_device(config.storage, "write", chunk)
+    storage, chunk = config.storage, config.io_chunk
+    storms: list = []
+    bus = TelemetryBus()
+    bus.subscribe(FLUSH_SPIKE, storms.append)
+    write_points = _sweep(storage, "write", chunk, telemetry=bus)
+    if storage.read_cost == storage.write_cost and not storms:
+        read_points = write_points
+    else:
+        read_points = profile_device(storage, "read", chunk)
     return DepthController(
         ref_latency_read=reference_latency(read_points, saturation_fraction),
         ref_latency_write=reference_latency(write_points, saturation_fraction),

@@ -1,12 +1,14 @@
 """Tests for configuration presets and validation (incl. Table 1)."""
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.config import (
     GB,
     HDD_PROFILE,
+    MB,
     SSD_PROFILE,
     ClusterConfig,
     StorageProfile,
@@ -58,6 +60,36 @@ def test_profile_validation():
         StorageProfile(name="x", peak_rate=1.0, n_half=0.0, read_cost=0.0)
     with pytest.raises(ValueError):
         StorageProfile(name="x", peak_rate=1.0, n_half=0.0, flush_factor=0.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("peak_rate", _NAN), ("peak_rate", _INF),
+    ("n_half", _NAN), ("n_half", _INF),
+    ("read_cost", _NAN), ("read_cost", _INF),
+    ("write_cost", _NAN), ("write_cost", _INF),
+    ("request_overhead", -1.0), ("request_overhead", _NAN), ("request_overhead", _INF),
+    ("flush_threshold", -1.0), ("flush_threshold", _NAN),
+    ("flush_duration", -1.0), ("flush_duration", _NAN), ("flush_duration", _INF),
+])
+def test_profile_rejects_bad_value_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(HDD_PROFILE, **{field: value})
+
+
+def test_profile_from_json_rejects_nan_literal():
+    data = json.loads('{"name": "x", "peak_rate": NaN, "n_half": 0.4}')
+    with pytest.raises(ValueError, match="peak_rate"):
+        StorageProfile.from_dict(data)
+
+
+def test_link_profile_and_unbounded_flush_threshold_stay_valid():
+    link = StorageProfile(name="link:n0", peak_rate=125 * MB, n_half=0.0)
+    assert link.rate_at(3) == 125 * MB
+    never = dataclasses.replace(HDD_PROFILE, flush_threshold=_INF)
+    assert never.flush_threshold == _INF
 
 
 def test_cluster_validation():
