@@ -40,7 +40,7 @@ def run_ablation():
     wc, thr = wc_run(PolicySpec.sfqd2(controller_for(config)))
     result.row(case="sfq(d2)", slowdown=wc.runtime / standalone - 1.0,
                throughput_mbs=thr)
-    # Built through the policy registry like every other case, so the
+    # Built from a PolicySpec like every other case, so the
     # reservation scheduler sits on each node's I/O paths.
     wc, thr = wc_run(PolicySpec(kind="reservation", params={
         "reservations": {"wordcount": 0.6, "teragen": 0.3},

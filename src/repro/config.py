@@ -28,6 +28,7 @@ __all__ = [
     "ClusterConfig",
     "YarnConfig",
     "default_cluster",
+    "known_fields",
 ]
 
 # Binary units, matching Table 1's dfs.block.size = 134,217,728.
@@ -37,6 +38,16 @@ GB = 1 << 30
 TB = 1 << 40
 
 _INF = float("inf")
+
+
+def known_fields(cls: type, data: Mapping[str, Any]) -> dict[str, Any]:
+    """``data`` as a new dict, once every key names a field of dataclass
+    ``cls``: a typo in a spec file fails with a ``ValueError`` naming
+    the key rather than a bare ``TypeError`` from the constructor."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -116,7 +127,7 @@ class StorageProfile:
                     f"unknown storage profile {data!r}; "
                     f"expected one of {sorted(STORAGE_PROFILES)}"
                 ) from None
-        return cls(**dict(data))
+        return cls(**known_fields(cls, data))
 
 
 # A 7.2K RPM SAS disk: ~160 MB/s streaming at depth, noticeable
@@ -177,7 +188,7 @@ class YarnConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "YarnConfig":
-        return cls(**dict(data))
+        return cls(**known_fields(cls, data))
 
 
 @dataclass(frozen=True)
@@ -246,10 +257,7 @@ class ClusterConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "ClusterConfig":
         """Inverse of :meth:`to_dict`.  Omitted fields keep their
         defaults; ``storage`` also accepts a preset name (``"hdd"``)."""
-        payload = dict(data)
-        unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown ClusterConfig fields: {sorted(unknown)}")
+        payload = known_fields(cls, data)
         if "storage" in payload:
             payload["storage"] = StorageProfile.from_dict(payload["storage"])
         if "yarn" in payload and not isinstance(payload["yarn"], YarnConfig):

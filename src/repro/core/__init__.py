@@ -1,6 +1,9 @@
 """IBIS — the paper's contribution.
 
-* :mod:`repro.core.base` — scheduler interface, native FIFO passthrough.
+* :mod:`repro.core.base` — scheduler interface, native FIFO passthrough,
+  and :func:`policy_class`: every subclass that defines ``algorithm`` is
+  filed under that name, with its declared capabilities as class
+  attributes.
 * :mod:`repro.core.sfq` — SFQ and SFQ(D) proportional sharing (§4).
 * :mod:`repro.core.sfqd2` — SFQ(D2): feedback-controlled dynamic depth (§4).
 * :mod:`repro.core.profiling` — offline reference-latency profiling (§4).
@@ -8,8 +11,6 @@
   coordination (§5).
 * :mod:`repro.core.cgroups` — the cgroups blkio baseline that can only see
   intermediate I/Os (§6).
-* :mod:`repro.core.registry` — the pluggable policy registry every
-  scheduler subclass self-registers into, with declared capabilities.
 * :mod:`repro.core.policy` — :class:`PolicySpec`/:class:`NodePolicy`:
   policy selection as validated, serializable data.
 * :mod:`repro.core.interposition` — per-datanode interposition points
@@ -21,7 +22,12 @@ The application-tagged request types (:class:`IOTag`, :class:`IOClass`,
 here too, for the framework layers that tag their I/O.
 """
 
-from repro.core.base import IOScheduler, NativeScheduler, SchedulerStats
+from repro.core.base import (
+    IOScheduler,
+    NativeScheduler,
+    SchedulerStats,
+    policy_class,
+)
 from repro.core.broker import BrokerClient, SchedulingBroker
 from repro.core.cgroups import CgroupsThrottleScheduler, CgroupsWeightScheduler
 from repro.core.interposition import DataNodeIO
@@ -30,14 +36,6 @@ from repro.core.policy import (
     PolicySpec,
     canonical_json,
     policy_from_dict,
-)
-from repro.core.registry import (
-    REGISTRY,
-    PolicyInfo,
-    PolicyRegistry,
-    get_policy,
-    policy_names,
-    register_scheduler,
 )
 from repro.core.sfq import SFQDScheduler
 from repro.core.sfqd2 import DepthController, SFQD2Scheduler
@@ -55,17 +53,12 @@ __all__ = [
     "IOTag",
     "NativeScheduler",
     "NodePolicy",
-    "PolicyInfo",
-    "PolicyRegistry",
     "PolicySpec",
-    "REGISTRY",
     "SchedulerStats",
     "SchedulingBroker",
     "SFQDScheduler",
     "SFQD2Scheduler",
     "canonical_json",
-    "get_policy",
+    "policy_class",
     "policy_from_dict",
-    "policy_names",
-    "register_scheduler",
 ]

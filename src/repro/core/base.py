@@ -4,14 +4,15 @@ Every interposed scheduling point — the Data Node's HDFS path, the local
 intermediate-I/O path, and the Node Manager's shuffle servlet — hosts
 one :class:`IOScheduler` instance in front of a :class:`StorageDevice`.
 
-Subclassing ``IOScheduler`` with an ``algorithm`` attribute registers
-the implementation in the policy registry (:mod:`repro.core.registry`)
-together with its declared capabilities, making it constructible
+Subclassing ``IOScheduler`` with an ``algorithm`` attribute files the
+class under that name (and its ``aliases``), making it constructible
 through :class:`~repro.core.policy.PolicySpec` without touching any
-core code.  Every request's life cycle is published as structured
-events on the scheduler's :class:`~repro.telemetry.TelemetryBus` to
-whichever sinks subscribe; :class:`SchedulerStats`, the scheduler's own
-accounting, is updated directly before any of them.
+core code; :func:`policy_class` looks it up, and the class attributes
+are its declared capabilities.  Every request's life cycle is published
+as structured events on the scheduler's
+:class:`~repro.telemetry.TelemetryBus` to whichever sinks subscribe;
+:class:`SchedulerStats`, the scheduler's own accounting, is updated
+directly before any of them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.core.registry import register_scheduler
 from repro.dataplane import IOClass, IORequest, LifecycleError, RequestState
 from repro.simcore import Event, RateMeter, RequestCancelled, Simulator
 from repro.storage import IOCompletion, StorageDevice
@@ -38,7 +38,23 @@ from repro.telemetry import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.policy import PolicySpec
 
-__all__ = ["IOScheduler", "NativeScheduler", "SchedulerStats"]
+__all__ = ["IOScheduler", "NativeScheduler", "SchedulerStats", "policy_class"]
+
+#: Every scheduler class that defines ``algorithm``, under that name and
+#: under each of its ``aliases``.
+_POLICIES: dict[str, type["IOScheduler"]] = {}
+
+
+def policy_class(kind: str) -> type["IOScheduler"]:
+    """The scheduler class filed under ``kind`` (an ``algorithm`` name
+    or an alias); ``ValueError`` listing the valid names otherwise."""
+    try:
+        return _POLICIES[kind]
+    except KeyError:
+        names = tuple(sorted({cls.algorithm for cls in _POLICIES.values()}))
+        raise ValueError(
+            f"unknown policy kind {kind!r}; one of {names}"
+        ) from None
 
 
 class SchedulerStats:
@@ -94,10 +110,11 @@ class IOScheduler:
     request.  The base class publishes the request life-cycle events and
     exposes the per-app service counters the Scheduling Broker reads.
 
-    Class attributes double as the registry capability declaration:
+    Class attributes double as the policy's capability declaration:
 
     * ``algorithm`` — canonical policy name (defining it in a subclass
-      body registers the class; leave it inherited to stay unregistered);
+      body files the class under it; a subclass that leaves it inherited
+      is not filed);
     * ``aliases`` — alternative spec names resolving to this policy;
     * ``manages_classes`` — I/O classes the scheduler can manage; the
       interposition layer falls back to native for the rest;
@@ -113,10 +130,21 @@ class IOScheduler:
     supports_coordination: bool = False
     required_params: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, register: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if register and "algorithm" in cls.__dict__ and cls.algorithm:
-            register_scheduler(cls)
+        if "algorithm" not in cls.__dict__:
+            return
+        names = (cls.algorithm, *cls.aliases)
+        for key in names:
+            owner = _POLICIES.get(key)
+            # A class of the same qualified name is a module re-import.
+            if owner is not None and owner.__qualname__ != cls.__qualname__:
+                raise ValueError(
+                    f"policy name {key!r} already registered by "
+                    f"{owner.__module__}.{owner.__qualname__}"
+                )
+        for key in names:
+            _POLICIES[key] = cls
 
     def __init__(
         self,
@@ -133,7 +161,7 @@ class IOScheduler:
         self.outstanding = 0
         self._submit_hooks: list[Callable[[IORequest], None]] = []
 
-    # ------------------------------------------------------------- registry
+    # ------------------------------------------------------------- factory
     @classmethod
     def from_spec(
         cls,
@@ -143,7 +171,7 @@ class IOScheduler:
         name: str = "",
         telemetry: Optional[TelemetryBus] = None,
     ) -> "IOScheduler":
-        """Construct from a :class:`PolicySpec` (registry factory hook).
+        """Construct from a :class:`PolicySpec` (the policy's factory).
 
         The default forwards ``spec.params`` as keyword arguments, which
         is all a third-party scheduler needs; built-ins with dedicated

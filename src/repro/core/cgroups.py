@@ -15,7 +15,7 @@ spill/merge traffic.  HDFS I/Os are serviced by the shared Data Node
 daemon and shuffle reads by the shared Node Manager servlet, which run
 outside any application container, so cgroups cannot differentiate
 them.  Both schedulers therefore declare ``manages_classes =
-{INTERMEDIATE}`` — the restriction is a registry capability, and the
+{INTERMEDIATE}`` — the restriction is a declared capability, and the
 interposition layer falls back to native for the other classes.
 """
 

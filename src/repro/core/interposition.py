@@ -10,15 +10,13 @@ data on separate disks) and three interposed scheduling points, one
 * ``NETWORK``     → scheduler in the Node Manager's shuffle servlet,
   also in front of the temporary-data disk (map outputs live there).
 
-A :class:`~repro.core.policy.NodePolicy` selects which registered
-scheduler implementation backs each point; a bare
-:class:`~repro.core.policy.PolicySpec` is accepted as shorthand for the
-uniform one-policy-everywhere configuration.  Construction goes through
-:meth:`IOPath.build` and the policy registry
-(:mod:`repro.core.registry`): a scheduler whose declared
-``manages_classes`` does not cover a class falls back to native at that
-point — which is exactly how cgroups ends up managing only the
-INTERMEDIATE class (§6).
+A :class:`~repro.core.policy.NodePolicy` selects which scheduler class
+backs each point; a bare :class:`~repro.core.policy.PolicySpec` is
+accepted as shorthand for the uniform one-policy-everywhere
+configuration.  Construction goes through :meth:`IOPath.build`: a
+scheduler whose declared ``manages_classes`` does not cover a class
+falls back to native at that point — which is exactly how cgroups ends
+up managing only the INTERMEDIATE class (§6).
 """
 
 from __future__ import annotations

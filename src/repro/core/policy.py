@@ -1,8 +1,8 @@
 """Policy selection as data: :class:`PolicySpec` and :class:`NodePolicy`.
 
-A :class:`PolicySpec` names one registered scheduler implementation and
-its parameters; it is validated against the policy registry
-(:mod:`repro.core.registry`) at construction and serializes to/from a
+A :class:`PolicySpec` names one scheduler class (by its ``algorithm``
+or an alias) and its parameters; it is validated against that class's
+declared capabilities at construction and serializes to/from a
 canonical dict/JSON form — the same form experiment configs and cache
 keys derive from.
 
@@ -20,11 +20,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
-from repro.core import registry
+from repro.config import known_fields
+from repro.core.base import policy_class
 
-# Importing the built-in scheduler modules registers them, so a
-# PolicySpec can be validated wherever it is constructed.
-import repro.core.base          # noqa: F401  (native)
+# Importing the built-in scheduler modules files their classes by name,
+# so a PolicySpec can be validated wherever it is constructed.
 import repro.core.sfq           # noqa: F401  (sfq(d))
 import repro.core.sfqd2         # noqa: F401  (sfq(d2))
 import repro.core.cgroups       # noqa: F401  (cgroups-weight/-throttle)
@@ -48,12 +48,12 @@ def canonical_json(payload: Any) -> str:
 class PolicySpec:
     """Which I/O scheduler runs at an interposition point.
 
-    ``kind`` may be a canonical algorithm name or a registered alias
-    (``sfqd`` → ``sfq(d)``); it is normalized to the canonical name.
-    ``coordinated`` enables the Scheduling Broker (§5); the registry
-    rejects it for schedulers that do not declare coordination support.
+    ``kind`` may be a canonical algorithm name or an alias (``sfqd`` →
+    ``sfq(d)``); it is normalized to the canonical name.
+    ``coordinated`` enables the Scheduling Broker (§5); it is rejected
+    for schedulers that do not declare coordination support.
     ``params`` carries extra keyword arguments for schedulers without
-    dedicated fields (third-party registrations).
+    dedicated fields (third-party schedulers).
     """
 
     kind: str = "native"
@@ -65,31 +65,26 @@ class PolicySpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        info = registry.get_policy(self.kind)  # raises on unknown kinds
-        object.__setattr__(self, "kind", info.name)
+        scheduler = policy_class(self.kind)  # raises on unknown kinds
+        kind = scheduler.algorithm
+        object.__setattr__(self, "kind", kind)
         if self.sync_period <= 0:
             raise ValueError("sync_period must be positive")
-        for param in info.required_params:
+        for param in scheduler.required_params:
             if param == "controller":
                 if self.controller is None:
-                    raise ValueError(f"{info.name} policy requires a DepthController")
+                    raise ValueError(f"{kind} policy requires a DepthController")
             elif param == "throttle_rates":
                 if not self.throttle_rates:
-                    raise ValueError(f"{info.name} policy requires throttle_rates")
+                    raise ValueError(f"{kind} policy requires throttle_rates")
             elif param not in self.params:
                 raise ValueError(
-                    f"{info.name} policy requires parameter {param!r}"
+                    f"{kind} policy requires parameter {param!r}"
                 )
-        if self.coordinated and not info.supports_coordination:
+        if self.coordinated and not scheduler.supports_coordination:
             raise ValueError(
-                f"coordination is not supported by the {info.name!r} policy"
+                f"coordination is not supported by the {kind!r} policy"
             )
-
-    # ------------------------------------------------------------ registry
-    @property
-    def info(self) -> registry.PolicyInfo:
-        """This spec's registry entry (capabilities, factory)."""
-        return registry.get_policy(self.kind)
 
     # ------------------------------------------------------- serialization
     def to_dict(self) -> dict[str, Any]:
@@ -110,10 +105,10 @@ class PolicySpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PolicySpec":
-        payload = dict(data)
+        payload = known_fields(cls, data)
         controller = payload.pop("controller", None)
         if controller is not None and not isinstance(controller, DepthController):
-            controller = DepthController(**controller)
+            controller = DepthController(**known_fields(DepthController, controller))
         return cls(controller=controller, **payload)
 
     def to_json(self) -> str:
@@ -151,7 +146,7 @@ class PolicySpec:
 class NodePolicy:
     """One :class:`PolicySpec` per interposed I/O class.
 
-    The registry's capability model still applies per class: a spec
+    The scheduler's declared capabilities still apply per class: a spec
     whose scheduler does not manage a class falls back to native there
     (that is how cgroups ends up INTERMEDIATE-only, §6).
     """

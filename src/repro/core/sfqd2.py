@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.sfq import SFQDScheduler
-from repro.simcore import Simulator, TimeSeries
+from repro.simcore import Simulator
 from repro.storage import StorageDevice
-from repro.telemetry import DEPTH_CHANGED, DepthChanged, TelemetryBus, TimeSeriesSink
+from repro.telemetry import DEPTH_CHANGED, DepthChanged, TelemetryBus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.policy import PolicySpec
@@ -86,12 +86,11 @@ class DepthController:
 class SFQD2Scheduler(SFQDScheduler):
     """SFQ with the depth adapted online by :class:`DepthController`.
 
-    Every control period the scheduler publishes a ``depth_changed``
-    telemetry event carrying the updated D and the period's observed
-    average latency.  ``depth_series`` / ``latency_series`` — the two
-    traces of Fig. 7 — are plain :class:`TimeSeriesSink` views of that
-    event stream, so any other sink (a JSON trace, a live dashboard)
-    sees exactly the same data.
+    Every control period, if anyone subscribes, the scheduler publishes
+    a ``depth_changed`` telemetry event carrying the updated D and the
+    period's observed average latency.  The two traces of Fig. 7 are
+    :class:`~repro.telemetry.TimeSeriesSink` views of that event stream
+    (the scenario runner's ``depth_trace`` metric).
     """
 
     algorithm = "sfq(d2)"
@@ -110,15 +109,6 @@ class SFQD2Scheduler(SFQDScheduler):
                          telemetry=telemetry)
         self.controller = controller
         self._depth = float(controller.d_init)
-        self._depth_sink = TimeSeriesSink(
-            self.telemetry, DEPTH_CHANGED, source=self.name,
-            value=lambda ev: ev.depth, name=f"{self.name}:depth",
-        )
-        self._latency_sink = TimeSeriesSink(
-            self.telemetry, DEPTH_CHANGED, source=self.name,
-            value=lambda ev: ev.latency, when=lambda ev: ev.samples > 0,
-            name=f"{self.name}:latency",
-        )
         self._tick_scheduled = False
 
     @classmethod
@@ -126,16 +116,6 @@ class SFQD2Scheduler(SFQDScheduler):
                   telemetry: Optional[TelemetryBus] = None) -> "SFQD2Scheduler":
         assert spec.controller is not None  # guaranteed by spec validation
         return cls(sim, device, spec.controller, name=name, telemetry=telemetry)
-
-    @property
-    def depth_series(self) -> TimeSeries:
-        """Per-period D (Fig. 7, top trace)."""
-        return self._depth_sink.series
-
-    @property
-    def latency_series(self) -> TimeSeries:
-        """Per-period observed average latency (Fig. 7, bottom trace)."""
-        return self._latency_sink.series
 
     def _enqueue(self, req) -> None:
         super()._enqueue(req)
@@ -153,12 +133,14 @@ class SFQD2Scheduler(SFQDScheduler):
         reads, writes = self.stats.drain_window()
         old_depth = self.depth
         self._depth = self.controller.update(self._depth, reads, writes)
-        n = len(reads) + len(writes)
-        avg = (sum(reads) + sum(writes)) / n if n else 0.0
-        self.telemetry.publish(DepthChanged(
-            t=self.sim.now, source=self.name, depth=self._depth,
-            latency=avg, samples=n,
-        ))
+        telemetry = self.telemetry
+        if telemetry.publishes(DEPTH_CHANGED):
+            n = len(reads) + len(writes)
+            avg = (sum(reads) + sum(writes)) / n if n else 0.0
+            telemetry.publish(DepthChanged(
+                t=self.sim.now, source=self.name, depth=self._depth,
+                latency=avg, samples=n,
+            ))
         if self.depth > old_depth:
             self._try_dispatch()  # deeper window may admit queued requests
         if self.outstanding > 0 or self.queued > 0:

@@ -28,7 +28,7 @@ servlet are thin adapters over one set of primitives:
 
 Layering: the dataplane sits *below* :mod:`repro.core` (schedulers
 import requests and tags from here; ``IOPath.build`` resolves concrete
-scheduler classes lazily through the registry).
+scheduler classes lazily through :func:`repro.core.base.policy_class`).
 """
 
 from repro.dataplane.lifecycle import (

@@ -6,8 +6,8 @@ the submission path crosses after the tag: the interposed scheduler,
 the storage device it dispatches to, and (for coordinated policies)
 the Scheduling Broker client that applies DSFQ delays to the
 scheduler.  :class:`~repro.core.interposition.DataNodeIO` is three of
-these; everything that used to live in its constructor — the
-registry-driven build, the ``manages_classes`` native fallback, broker
+these; everything that used to live in its constructor — building the
+spec's scheduler class, the ``manages_classes`` native fallback, broker
 wiring — is :meth:`IOPath.build`.
 """
 
@@ -94,7 +94,7 @@ class IOPath:
         telemetry: Optional["TelemetryBus"] = None,
     ) -> "IOPath":
         """Construct the path a :class:`~repro.core.policy.PolicySpec`
-        describes, through the policy registry.
+        describes, through its scheduler class's ``from_spec``.
 
         A scheduler whose declared ``manages_classes`` does not cover
         ``io_class`` falls back to native at this point — which is
@@ -104,15 +104,15 @@ class IOPath:
         """
         # Imported here: the dataplane is a lower layer than repro.core
         # (core imports it), so scheduler construction resolves lazily.
-        from repro.core.base import NativeScheduler
+        from repro.core.base import NativeScheduler, policy_class
         from repro.core.broker import BrokerClient
 
         name = f"{node_id}:{io_class.value}"
-        info = spec.info
-        managed = info.manages(io_class)
+        policy = policy_class(spec.kind)
+        managed = io_class in policy.manages_classes
         if managed:
-            scheduler = info.build(sim, device, spec, name=name,
-                                   telemetry=telemetry)
+            scheduler = policy.from_spec(sim, device, spec, name=name,
+                                         telemetry=telemetry)
         else:
             # The scheduler cannot see this class's I/Os (cgroups only
             # sees container-issued local I/O, §6): run it unmanaged.
@@ -122,7 +122,7 @@ class IOPath:
         if (
             spec.coordinated
             and broker is not None
-            and info.supports_coordination
+            and policy.supports_coordination
             and managed
         ):
             broker_client = BrokerClient(

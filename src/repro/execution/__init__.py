@@ -16,6 +16,7 @@ See DESIGN.md ("Execution core & scenario service").
 from repro.execution.atomic import (
     atomic_write_json,
     atomic_write_text,
+    cache_dir,
     fsync_dir,
 )
 from repro.execution.core import ExecutionCore
@@ -44,6 +45,7 @@ __all__ = [
     "active_jobs",
     "atomic_write_json",
     "atomic_write_text",
+    "cache_dir",
     "default_jobs",
     "execute",
     "fsync_dir",

@@ -1,10 +1,9 @@
-"""Crash- and concurrency-safe JSON writes.
+"""The on-disk root and crash- and concurrency-safe JSON writes.
 
-Both persistent caches in this repo — the calibration cache
-(:mod:`repro.experiments.harness`) and the result store
-(:mod:`repro.execution.store`) — are shared between concurrent worker
-processes, and the scheduler's submission journal
-(:mod:`repro.service.journal`) must survive power loss, not just
+Two things persist across processes, both under :func:`cache_dir`: the
+result store (:mod:`repro.execution.store`), shared between concurrent
+worker processes, and the scheduler's submission journal
+(:mod:`repro.service.journal`), which must survive power loss, not just
 process death.  A reader must never observe a torn file, so every write
 goes through the same path: the payload is serialised into a unique
 temp file in the destination directory, fsynced, published with
@@ -23,7 +22,16 @@ import pathlib
 import tempfile
 from typing import Any
 
-__all__ = ["atomic_write_json", "atomic_write_text", "fsync_dir"]
+__all__ = ["atomic_write_json", "atomic_write_text", "cache_dir", "fsync_dir"]
+
+
+def cache_dir() -> pathlib.Path:
+    """Root of the result store and the service journal:
+    ``$REPRO_CACHE_DIR``, else ``~/.cache/ibis-repro``."""
+    override = os.environ.get("REPRO_CACHE_DIR")
+    if override:
+        return pathlib.Path(override)
+    return pathlib.Path.home() / ".cache" / "ibis-repro"
 
 
 def fsync_dir(dirpath: "pathlib.Path | str") -> None:

@@ -1,9 +1,8 @@
 """Persistent, content-hash-keyed store of run manifests.
 
 One entry per scenario :meth:`~repro.scenario.spec.Scenario.content_hash`,
-written once under ``$REPRO_CACHE_DIR`` (the same root the calibration
-cache resolves — see
-:func:`~repro.experiments.harness.calibration_cache_dir`).  Because a
+written once under ``$REPRO_CACHE_DIR`` (see
+:func:`~repro.execution.atomic.cache_dir`).  Because a
 scenario's manifest is deterministic (``metrics_hash`` covers every
 deterministic field), a stored entry *is* the run: repeated submissions
 are cache hits, and an interrupted ``--sweep`` grid resumes by
@@ -32,7 +31,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.execution.atomic import atomic_write_json
+from repro.execution.atomic import atomic_write_json, cache_dir
 from repro.scenario.runner import RunManifest
 
 __all__ = [
@@ -83,9 +82,7 @@ class ResultStore:
     def default(cls) -> "ResultStore":
         """The store under the shared cache root (``$REPRO_CACHE_DIR``
         or ``~/.cache/ibis-repro``)."""
-        from repro.experiments.harness import calibration_cache_dir
-
-        return cls(calibration_cache_dir() / "results")
+        return cls(cache_dir() / "results")
 
     # ------------------------------------------------------------- layout
     def path_for(self, content_hash: str) -> pathlib.Path:

@@ -3,25 +3,19 @@ standard run helpers."""
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
-import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.cluster import BigDataCluster
 from repro.config import MB, ClusterConfig
-from repro.core import DepthController, NodePolicy, PolicySpec, canonical_json
+from repro.core import DepthController, NodePolicy, PolicySpec
 from repro.core.profiling import calibrate_controller
-from repro.execution.atomic import atomic_write_json
 from repro.mapreduce import Job, JobSpec
 from repro.telemetry import JsonLinesTraceSink
 
 __all__ = [
     "ExperimentResult",
-    "calibration_cache_dir",
     "controller_for",
     "run_single_job",
     "total_throughput_mbs",
@@ -73,72 +67,19 @@ class ExperimentResult:
 
 
 # The §4 profiling procedure is deterministic per storage profile, so
-# experiments share one calibration per profile.  Two cache layers:
-# an in-process dict, and a disk cache shared across worker processes
-# and invocations (so a parallel `run all` profiles each storage setup
-# exactly once instead of once per worker).
+# a process calibrates each setup once.  Forked workers inherit what the
+# parent already calibrated, and figures and the scenario service ship
+# the resolved controller inside each scenario.
 _CONTROLLERS: dict[tuple, DepthController] = {}
-
-#: bump to invalidate every on-disk calibration (e.g. when the device
-#: model or the §4 profiling procedure changes)
-_CALIBRATION_VERSION = 1
-
-
-def calibration_cache_dir() -> pathlib.Path:
-    """Disk-cache location: ``$REPRO_CACHE_DIR``, else ``~/.cache/ibis-repro``."""
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return pathlib.Path(override)
-    return pathlib.Path.home() / ".cache" / "ibis-repro"
-
-
-def _calibration_path(config: ClusterConfig, kwargs: dict) -> pathlib.Path:
-    payload = canonical_json(
-        {
-            "version": _CALIBRATION_VERSION,
-            "storage": dataclasses.asdict(config.storage),
-            "io_chunk": config.io_chunk,
-            "kwargs": kwargs,
-        }
-    )
-    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-    return calibration_cache_dir() / f"calib-{config.storage.name}-{digest}.json"
-
-
-def _load_calibration(path: pathlib.Path) -> Optional[DepthController]:
-    try:
-        fields = json.loads(path.read_text())["controller"]
-        return DepthController(**fields)
-    except (OSError, ValueError, KeyError, TypeError):
-        return None  # missing or corrupt cache entry: recalibrate
-
-
-def _store_calibration(path: pathlib.Path, ctrl: DepthController) -> None:
-    """Best-effort atomic write: a parallel cold start has every worker
-    profile then publish concurrently, and readers must only ever see a
-    complete JSON document (temp file + rename; last writer wins)."""
-    try:
-        atomic_write_json(path, {"controller": dataclasses.asdict(ctrl)})
-    except OSError:
-        pass  # read-only cache dir etc.: the in-memory cache still works
 
 
 def controller_for(config: ClusterConfig, **kwargs) -> DepthController:
-    """Cached ``calibrate_controller`` (one profiling pass per setup).
-
-    Point ``REPRO_CACHE_DIR`` at an empty directory to start without
-    the disk layer's entries (the in-process cache is always on).
-    """
+    """``calibrate_controller``, memoised in this process per storage
+    profile, chunk size and calibration arguments."""
     key = (config.storage, config.io_chunk, tuple(sorted(kwargs.items())))
     ctrl = _CONTROLLERS.get(key)
-    if ctrl is not None:
-        return ctrl
-    path = _calibration_path(config, dict(kwargs))
-    ctrl = _load_calibration(path)
     if ctrl is None:
-        ctrl = calibrate_controller(config, **kwargs)
-        _store_calibration(path, ctrl)
-    _CONTROLLERS[key] = ctrl
+        ctrl = _CONTROLLERS[key] = calibrate_controller(config, **kwargs)
     return ctrl
 
 

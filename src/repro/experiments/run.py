@@ -401,8 +401,8 @@ def main(argv: list[str] | None = None) -> int:
     config = default_cluster(scale=1.0 / args.scale, storage=storage,
                              seed=args.seed)
     if jobs > 1:
-        # Warm the calibration caches (memory + disk) once in the parent
-        # so workers load the profiling result instead of redoing it.
+        # Calibrate once in the parent: forked workers inherit the
+        # in-process memo instead of redoing the profiling pass.
         controller_for(config)
 
     if jobs > 1 and len(names) > 1:

@@ -4,7 +4,7 @@ A :class:`FaultPlan` is an immutable, JSON-round-trippable description
 of *what goes wrong and when* in a run: a tuple of scheduled
 :class:`FaultEvent`\\ s plus the client-side failure-handling knobs
 (read retry budget, backoff, timeout).  Like
-:class:`~repro.core.registry.PolicySpec` it serialises to canonical
+:class:`~repro.core.policy.PolicySpec` it serialises to canonical
 JSON (sorted keys, no whitespace) so two equal plans always produce the
 same bytes, and a plan can be stored next to the experiment spec that
 used it.
@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Sequence, Tuple
+
+from repro.config import known_fields
 
 __all__ = [
     "BROKER_OUTAGE",
@@ -172,11 +174,7 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "FaultEvent":
-        known = {f.name for f in fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown FaultEvent fields: {sorted(extra)}")
-        return cls(**dict(d))
+        return cls(**known_fields(cls, d))
 
 
 @dataclass(frozen=True)
@@ -222,11 +220,7 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "FaultPlan":
-        known = {f.name for f in fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown FaultPlan fields: {sorted(extra)}")
-        data = dict(d)
+        data = known_fields(cls, d)
         raw = data.pop("events", ())
         if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
             raise TypeError("events must be a sequence")

@@ -26,10 +26,10 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, known_fields
 from repro.core import NodePolicy, PolicySpec, canonical_json, policy_from_dict
 from repro.faults import FaultPlan
 from repro.workloads import APP_BUILDERS
@@ -75,14 +75,6 @@ def _freeze_params(params: Mapping[str, Any]) -> dict[str, Any]:
         raise ValueError(f"params must be JSON-serialisable: {exc}") from None
 
 
-def _from_known_fields(cls, data: Mapping[str, Any]):
-    known = {f.name for f in fields(cls)}
-    extra = set(data) - known
-    if extra:
-        raise ValueError(f"unknown {cls.__name__} fields: {sorted(extra)}")
-    return cls(**dict(data))
-
-
 @dataclass(frozen=True)
 class PreloadSpec:
     """One pre-materialised HDFS input file.
@@ -111,7 +103,7 @@ class PreloadSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PreloadSpec":
-        return _from_known_fields(cls, data)
+        return cls(**known_fields(cls, data))
 
 
 @dataclass(frozen=True)
@@ -178,7 +170,7 @@ class JobEntry:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobEntry":
-        return _from_known_fields(cls, data)
+        return cls(**known_fields(cls, data))
 
 
 @dataclass(frozen=True)
@@ -216,17 +208,15 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        payload = dict(data)
+        payload = known_fields(cls, data)
         jobs = tuple(
             e if isinstance(e, JobEntry) else JobEntry.from_dict(e)
-            for e in payload.pop("jobs", ())
+            for e in payload.get("jobs", ())
         )
         preloads = tuple(
             p if isinstance(p, PreloadSpec) else PreloadSpec.from_dict(p)
-            for p in payload.pop("preloads", ())
+            for p in payload.get("preloads", ())
         )
-        if payload:
-            raise ValueError(f"unknown WorkloadSpec fields: {sorted(payload)}")
         return cls(jobs=jobs, preloads=preloads)
 
 
@@ -286,7 +276,7 @@ class MeasurementSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MeasurementSpec":
-        return _from_known_fields(cls, data)
+        return cls(**known_fields(cls, data))
 
 
 def _resolve_policy(
@@ -296,9 +286,10 @@ def _resolve_policy(
 
     JSON sugar: a spec whose ``controller`` is the string ``"auto"``
     gets the §4-calibrated :class:`DepthController` for ``config``'s
-    storage profile (via the shared calibration cache) — so scenario
-    files need not embed calibration constants.  ``to_dict`` always
-    emits the resolved controller, so hashes are calibration-explicit.
+    storage profile (memoised per process by ``controller_for``) — so
+    scenario files need not embed calibration constants.  ``to_dict``
+    always emits the resolved controller, so hashes are
+    calibration-explicit.
     """
     if isinstance(data, (PolicySpec, NodePolicy)):
         return NodePolicy.coerce(data)
@@ -367,11 +358,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        payload = dict(data)
-        known = {f.name for f in fields(cls)}
-        extra = set(payload) - known
-        if extra:
-            raise ValueError(f"unknown Scenario fields: {sorted(extra)}")
+        payload = known_fields(cls, data)
         cluster = payload.get("cluster", {})
         if not isinstance(cluster, ClusterConfig):
             cluster = ClusterConfig.from_dict(cluster)

@@ -57,7 +57,7 @@ import os
 import pathlib
 from typing import Any, Iterable, Optional
 
-from repro.execution.atomic import atomic_write_text, fsync_dir
+from repro.execution.atomic import atomic_write_text, cache_dir, fsync_dir
 
 __all__ = ["JOURNAL_SCHEMA", "JournalError", "SubmissionJournal"]
 
@@ -98,9 +98,7 @@ class SubmissionJournal:
     def default(cls) -> "SubmissionJournal":
         """The journal under the shared cache root
         (``$REPRO_CACHE_DIR/service/journal.jsonl``)."""
-        from repro.experiments.harness import calibration_cache_dir
-
-        return cls(calibration_cache_dir() / "service" / "journal.jsonl")
+        return cls(cache_dir() / "service" / "journal.jsonl")
 
     # ------------------------------------------------------------- replay
     def replay(self) -> list[dict[str, Any]]:

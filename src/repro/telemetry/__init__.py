@@ -21,6 +21,7 @@ from repro.telemetry.events import (
     BROKER_SYNC,
     DEPTH_CHANGED,
     EVENT_KINDS,
+    EVENT_TYPES,
     FAULT_INJECTED,
     FLUSH_SPIKE,
     NODE_DOWN,
@@ -60,6 +61,7 @@ __all__ = [
     "BROKER_SYNC",
     "DEPTH_CHANGED",
     "EVENT_KINDS",
+    "EVENT_TYPES",
     "FAULT_INJECTED",
     "FLUSH_SPIKE",
     "NODE_DOWN",

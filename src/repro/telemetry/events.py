@@ -25,6 +25,7 @@ __all__ = [
     "BROKER_SYNC",
     "DEPTH_CHANGED",
     "EVENT_KINDS",
+    "EVENT_TYPES",
     "FAULT_INJECTED",
     "FLUSH_SPIKE",
     "NODE_DOWN",
@@ -238,21 +239,25 @@ class Span:
     service: float       # seconds from dispatch to device completion
 
 
-EVENT_KINDS: tuple[str, ...] = (
-    REQUEST_SUBMITTED,
-    REQUEST_DISPATCHED,
-    REQUEST_COMPLETED,
-    DEPTH_CHANGED,
-    BROKER_SYNC,
-    FLUSH_SPIKE,
-    FAULT_INJECTED,
-    NODE_DOWN,
-    NODE_UP,
-    REPLICA_FAILOVER,
-    TASK_RETRY,
-    BROKER_OUTAGE,
-    SPAN,
+#: Every event class, in publication-vocabulary order; the trace schema
+#: (:data:`~repro.telemetry.trace.TRACE_SCHEMA`) is derived from it.
+EVENT_TYPES: tuple[type, ...] = (
+    RequestSubmitted,
+    RequestDispatched,
+    RequestCompleted,
+    DepthChanged,
+    BrokerSync,
+    FlushSpike,
+    FaultInjected,
+    NodeDown,
+    NodeUp,
+    ReplicaFailover,
+    TaskRetry,
+    BrokerOutage,
+    Span,
 )
+
+EVENT_KINDS: tuple[str, ...] = tuple(cls.kind for cls in EVENT_TYPES)
 
 
 def event_record(ev: Any) -> dict[str, Any]:

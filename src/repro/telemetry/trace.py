@@ -9,13 +9,14 @@ line may contain; the test suite holds exported traces to it.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.telemetry.bus import TelemetryBus
-from repro.telemetry.events import EVENT_KINDS, event_record
+from repro.telemetry.events import EVENT_KINDS, EVENT_TYPES, event_record
 
 __all__ = [
     "JsonLinesTraceSink",
@@ -25,58 +26,13 @@ __all__ = [
     "validate_trace_record",
 ]
 
-#: Required fields (beyond ``kind``) and their types, per event kind.
-#: ``float`` accepts ints too (JSON numbers round-trip that way).
+#: Required fields (beyond ``kind``) and their types, per event kind,
+#: read off the event dataclasses.  ``float`` accepts ints too (JSON
+#: numbers round-trip that way).
+_FIELD_TYPES = {"float": float, "int": int, "str": str, "bool": bool}
 TRACE_SCHEMA: dict[str, dict[str, type]] = {
-    "request_submitted": {
-        "t": float, "source": str, "app_id": str, "op": str,
-        "nbytes": int, "io_class": str, "queued": int,
-    },
-    "request_dispatched": {
-        "t": float, "source": str, "app_id": str, "op": str,
-        "nbytes": int, "io_class": str, "wait": float,
-    },
-    "request_completed": {
-        "t": float, "source": str, "app_id": str, "op": str,
-        "nbytes": int, "io_class": str, "latency": float, "weight": float,
-    },
-    "depth_changed": {
-        "t": float, "source": str, "depth": float, "latency": float,
-        "samples": int,
-    },
-    "broker_sync": {
-        "t": float, "source": str, "scope": str, "apps": int,
-        "message_bytes": int,
-    },
-    "flush_spike": {
-        "t": float, "source": str, "until": float, "factor": float,
-    },
-    "fault_injected": {
-        "t": float, "source": str, "fault": str, "target": str,
-        "duration": float,
-    },
-    "node_down": {
-        "t": float, "source": str, "permanent": bool,
-    },
-    "node_up": {
-        "t": float, "source": str,
-    },
-    "replica_failover": {
-        "t": float, "source": str, "app_id": str, "block_id": int,
-        "failed": str, "attempt": int,
-    },
-    "task_retry": {
-        "t": float, "source": str, "task": str, "node": str,
-        "attempt": int,
-    },
-    "broker_outage": {
-        "t": float, "source": str, "down": bool,
-    },
-    "span": {
-        "t": float, "source": str, "app_id": str, "op": str,
-        "nbytes": int, "io_class": str, "state": str,
-        "queue_wait": float, "service": float,
-    },
+    cls.kind: {f.name: _FIELD_TYPES[f.type] for f in dataclasses.fields(cls)}
+    for cls in EVENT_TYPES
 }
 
 _IO_CLASSES = ("persistent", "intermediate", "network")

@@ -1,16 +1,16 @@
-"""The policy registry, PolicySpec/NodePolicy validation & serialization.
+"""Scheduler classes as the policy table, PolicySpec/NodePolicy
+validation & serialization.
 
 Includes the headline extensibility check: a third-party scheduler
-defined *here* (no edits to ``repro.core``) registers itself by
-subclassing, becomes constructible through ``PolicySpec``/``NodePolicy``,
-and runs inside a ``DataNodeIO``.
+defined *here* (no edits to ``repro.core``) is filed by subclassing,
+becomes constructible through ``PolicySpec``/``NodePolicy``, and runs
+inside a ``DataNodeIO``.
 """
 
 import pytest
 
 from repro.config import MB, StorageProfile, default_cluster
 from repro.core import (
-    REGISTRY,
     CgroupsThrottleScheduler,
     CgroupsWeightScheduler,
     DataNodeIO,
@@ -24,8 +24,7 @@ from repro.core import (
     PolicySpec,
     SFQD2Scheduler,
     SFQDScheduler,
-    get_policy,
-    policy_names,
+    policy_class,
 )
 from repro.simcore import Simulator
 from repro.storage import StorageDevice
@@ -35,55 +34,61 @@ FLAT = StorageProfile(name="flat", peak_rate=100.0 * MB, n_half=0.0)
 CTRL = DepthController.symmetric(0.05)
 
 
-# ----------------------------------------------------------------- registry
+# ------------------------------------------------------------ policy table
 def test_builtins_registered_under_canonical_names():
     for name in ("native", "sfq(d)", "sfq(d2)", "cgroups-weight",
                  "cgroups-throttle", "reservation"):
-        assert name in REGISTRY
-        assert get_policy(name).name == name
-    assert set(policy_names()) >= {"native", "sfq(d)", "sfq(d2)"}
+        assert policy_class(name).algorithm == name
 
 
 def test_aliases_resolve_to_canonical():
-    assert get_policy("sfqd").scheduler is SFQDScheduler
-    assert get_policy("sfqd2").scheduler is SFQD2Scheduler
-    assert REGISTRY.canonical("sfqd") == "sfq(d)"
-    assert REGISTRY.canonical("sfqd2") == "sfq(d2)"
+    assert policy_class("sfqd") is SFQDScheduler
+    assert policy_class("sfqd2") is SFQD2Scheduler
+    assert PolicySpec(kind="sfqd").kind == "sfq(d)"
+    assert PolicySpec(kind="sfqd2", controller=CTRL).kind == "sfq(d2)"
 
 
 def test_unknown_kind_raises_with_choices():
-    with pytest.raises(ValueError, match="unknown policy kind"):
-        get_policy("elevator")
+    for lookup in (policy_class, lambda kind: PolicySpec(kind=kind)):
+        with pytest.raises(ValueError, match="unknown policy kind") as exc:
+            lookup("elevator")
+        for name in ("native", "sfq(d)", "sfq(d2)", "cgroups-weight"):
+            assert repr(name) in str(exc.value)
 
 
 def test_capability_declarations():
-    assert get_policy("sfq(d)").supports_coordination
-    assert get_policy("sfq(d2)").supports_coordination
-    assert not get_policy("native").supports_coordination
+    assert policy_class("sfq(d)").supports_coordination
+    assert policy_class("sfq(d2)").supports_coordination
+    assert not policy_class("native").supports_coordination
     # cgroups sees only container-issued local I/O (§6): the capability
     # says so, for both modes — including the SFQD-derived weight mode.
     for kind in ("cgroups-weight", "cgroups-throttle"):
-        info = get_policy(kind)
-        assert info.manages_classes == frozenset({IOClass.INTERMEDIATE})
-        assert not info.supports_coordination
-    assert get_policy("sfq(d2)").required_params == ("controller",)
-    assert get_policy("cgroups-throttle").required_params == ("throttle_rates",)
+        scheduler = policy_class(kind)
+        assert scheduler.manages_classes == frozenset({IOClass.INTERMEDIATE})
+        assert not scheduler.supports_coordination
+    assert policy_class("sfq(d2)").required_params == ("controller",)
+    assert policy_class("cgroups-throttle").required_params == ("throttle_rates",)
 
 
 def test_duplicate_registration_rejected():
     with pytest.raises(ValueError, match="already registered"):
-        class Impostor(IOScheduler):  # registration happens in the class body
+        class Impostor(IOScheduler):  # filed when the class body runs
             algorithm = "native"
+    assert policy_class("native") is NativeScheduler
 
 
 def test_abstract_and_optout_subclasses_stay_unregistered():
-    class NoAlgorithm(IOScheduler):  # inherits algorithm: not registered
+    class NoAlgorithm(IOScheduler):  # inherits algorithm: not filed
         pass
 
-    class OptedOut(IOScheduler, register=False):
-        algorithm = "opted-out-test-policy"
+    # A subclass that leaves a filed algorithm inherited is not filed
+    # either, so it neither clashes with nor replaces its parent.
+    class TunedSFQD(SFQDScheduler):
+        pass
 
-    assert "opted-out-test-policy" not in REGISTRY
+    assert policy_class("sfq(d)") is SFQDScheduler
+    with pytest.raises(ValueError, match="unknown policy kind"):
+        policy_class(NoAlgorithm.algorithm)
 
 
 # --------------------------------------------------------------- PolicySpec
@@ -156,7 +161,7 @@ def test_node_policy_json_round_trip():
     assert again.to_json() == policy.to_json()
 
 
-# --------------------------------------------------- registry-driven wiring
+# ------------------------------------------------------ per-class wiring
 def _mk_node(policy):
     sim = Simulator()
     config = default_cluster()
@@ -234,18 +239,17 @@ class RoundRobinScheduler(IOScheduler):
 
 
 def test_third_party_scheduler_registers_and_runs():
-    info = get_policy("test-round-robin")
-    assert info.scheduler is RoundRobinScheduler
-    assert get_policy("rr").scheduler is RoundRobinScheduler
+    assert policy_class("test-round-robin") is RoundRobinScheduler
+    assert policy_class("rr") is RoundRobinScheduler
 
     spec = PolicySpec(kind="rr", params={"bonus": 3})
     assert spec.kind == "test-round-robin"
     assert PolicySpec.from_json(spec.to_json()) == spec
 
-    # Constructible standalone through the registry factory...
+    # Constructible standalone through the class's spec factory...
     sim = Simulator()
     dev = StorageDevice(sim, FLAT)
-    sched = info.build(sim, dev, spec, name="rr0")
+    sched = policy_class(spec.kind).from_spec(sim, dev, spec, name="rr0")
     assert isinstance(sched, RoundRobinScheduler)
     assert sched.bonus == 3
 

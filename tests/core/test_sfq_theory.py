@@ -3,17 +3,20 @@
 SFQ's fairness theorem bounds the normalised service gap of two
 continuously backlogged flows by one maximum-cost request per flow;
 SFQ(D) relaxes the bound by the dispatch depth.  These tests check the
-bound against the implementation over randomized workloads.
+bound against the implementation over randomized workloads, and that
+SFQ(D2)'s integral controller (§4, Eq. 1) settles latency around
+``Lref`` under a steady load.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import MB, StorageProfile
-from repro.core import IOClass, IORequest, IOTag, SFQDScheduler
+from repro.config import MB, StorageProfile, default_cluster
+from repro.core import IOClass, IORequest, IOTag, SFQD2Scheduler, SFQDScheduler
+from repro.experiments.harness import controller_for
 from repro.simcore import Simulator
 from repro.storage import StorageDevice
-from repro.telemetry import REQUEST_COMPLETED
+from repro.telemetry import DEPTH_CHANGED, REQUEST_COMPLETED
 
 FCFS = StorageProfile(name="f", peak_rate=100.0 * MB, n_half=0.5,
                       discipline="fcfs")
@@ -116,3 +119,32 @@ def test_weights_only_relative_values_matter():
                 sched.stats.service_by_app["b"])
 
     assert run(1.0) == run(100.0)
+
+
+@settings(max_examples=6, deadline=None)
+@given(streams=st.integers(min_value=8, max_value=64))
+def test_property_sfqd2_latency_settles_around_lref(streams):
+    """Closed-loop 4 MB reads on the HDD with the §4-calibrated
+    controller, more streams than the depth at the knee: after a
+    10-period warm-up every period's mean latency lies within 25% of
+    ``Lref``, D stays off both clamps, and — the integral controller's
+    identity Σ(Lref − L(k)) = ΔD / K — the settled periods' mean latency
+    is within (d_max − d_min) / (K · periods) of ``Lref``.  Reads only:
+    writes start flush storms, which pin D at d_min by design."""
+    config = default_cluster()
+    ctrl = controller_for(config)
+    lref = ctrl.ref_latency_read
+    sim = Simulator()
+    sched = SFQD2Scheduler(sim, StorageDevice(sim, config.storage), ctrl)
+    periods = []
+    sched.telemetry.subscribe(DEPTH_CHANGED, periods.append, source=sched.name)
+    closed_loop(sim, sched, "reader", 1.0, 4 * MB, streams=streams)
+    sim.run(until=120.0)
+    settled = periods[10:]
+    assert len(settled) >= 100
+    for period in settled:
+        assert abs(period.latency - lref) <= 0.25 * lref, period
+        assert ctrl.d_min < period.depth < ctrl.d_max, period
+    mean = sum(p.latency for p in settled) / len(settled)
+    assert abs(mean - lref) <= (ctrl.d_max - ctrl.d_min) / (
+        ctrl.gain * len(settled))

@@ -6,6 +6,7 @@ from repro.config import MB, StorageProfile
 from repro.core import DepthController, IOClass, IORequest, IOTag, SFQD2Scheduler
 from repro.simcore import Simulator
 from repro.storage import StorageDevice
+from repro.telemetry import DEPTH_CHANGED, TimeSeriesSink
 
 KNEE = StorageProfile(name="knee", peak_rate=100.0 * MB, n_half=1.0)
 
@@ -14,6 +15,19 @@ def make_controller(**kw):
     defaults = dict(ref_latency_read=0.05, ref_latency_write=0.05, gain=50.0)
     defaults.update(kw)
     return DepthController(**defaults)
+
+
+def depth_series(sched):
+    """Per-period D, from the scheduler's ``depth_changed`` events."""
+    return TimeSeriesSink(sched.telemetry, DEPTH_CHANGED, source=sched.name,
+                          value=lambda ev: ev.depth).series
+
+
+def latency_series(sched):
+    """Per-period mean latency, over periods that completed something."""
+    return TimeSeriesSink(sched.telemetry, DEPTH_CHANGED, source=sched.name,
+                          value=lambda ev: ev.latency,
+                          when=lambda ev: ev.samples > 0).series
 
 
 def submit(sim, sched, app, weight, op="read", nbytes=2 * MB):
@@ -86,12 +100,13 @@ def test_sfqd2_depth_decreases_under_overload():
     dev = StorageDevice(sim, KNEE)
     ctrl = make_controller(gain=50.0, d_init=12.0, d_max=12.0)
     sched = SFQD2Scheduler(sim, dev, ctrl)
+    depths, latencies = depth_series(sched), latency_series(sched)
     for _ in range(400):
         submit(sim, sched, "hog", 1.0, nbytes=2 * MB)
     sim.run(until=8.0)
     assert sched.depth < 12
-    assert len(sched.depth_series) >= 5
-    assert len(sched.latency_series) >= 1
+    assert len(depths) >= 5
+    assert len(latencies) >= 1
 
 
 def test_sfqd2_depth_recovers_when_load_lightens():
@@ -99,6 +114,7 @@ def test_sfqd2_depth_recovers_when_load_lightens():
     dev = StorageDevice(sim, KNEE)
     ctrl = make_controller(gain=100.0, d_init=8.0)
     sched = SFQD2Scheduler(sim, dev, ctrl)
+    ts = depth_series(sched)
 
     def trickle():
         # One small request at a time: latency far below Lref.
@@ -109,7 +125,6 @@ def test_sfqd2_depth_recovers_when_load_lightens():
 
     sim.process(trickle())
     sim.run()
-    ts = sched.depth_series
     assert ts.values[-1] > ctrl.d_init  # controller pushed depth up
 
 
@@ -128,13 +143,14 @@ def test_sfqd2_admits_more_after_depth_increase():
     dev = StorageDevice(sim, KNEE)
     ctrl = make_controller(gain=400.0, d_init=1.0, d_max=12.0)
     sched = SFQD2Scheduler(sim, dev, ctrl)
+    depths = depth_series(sched)
     for _ in range(50):
         submit(sim, sched, "a", 1.0, nbytes=1 * MB)
     assert dev.in_flight == 1
     sim.run(until=3.0)
     # Small requests at depth 1 are fast -> low latency -> D grows ->
     # more in flight.
-    assert max(sched.depth_series.values) > 1.0
+    assert max(depths.values) > 1.0
 
 
 def test_sfqd2_inherits_proportional_sharing():

@@ -13,8 +13,8 @@ EXAMPLES = (
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
-    """Point both persistent caches (calibration + result store) at a
-    throwaway directory so tests never touch ``~/.cache``."""
+    """Point the result store's cache root at a throwaway directory so
+    tests never touch ``~/.cache``."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     yield tmp_path / "cache"
 

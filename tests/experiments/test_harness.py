@@ -1,5 +1,7 @@
 """Tests for the experiment harness and report formatting."""
 
+import pathlib
+
 import pytest
 
 from repro.config import default_cluster
@@ -38,10 +40,12 @@ def test_find_keyerror_on_unknown_key_lists_row_keys():
 
 
 def test_cache_dir_honours_repro_cache_dir(monkeypatch, tmp_path):
-    from repro.experiments.harness import calibration_cache_dir
+    from repro.execution import cache_dir
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "new"))
-    assert calibration_cache_dir() == tmp_path / "new"
+    assert cache_dir() == tmp_path / "new"
+    monkeypatch.delenv("REPRO_CACHE_DIR")
+    assert cache_dir() == pathlib.Path.home() / ".cache" / "ibis-repro"
 
 
 def test_controller_cache_reuses_calibration():
@@ -50,6 +54,18 @@ def test_controller_cache_reuses_calibration():
     other = controller_for(cfg, gain=99.0)
     assert other is not controller_for(cfg)
     assert other.gain == 99.0
+
+
+def test_calibration_is_memoised_in_memory_only(isolated_cache, monkeypatch):
+    from repro.core.profiling import calibrate_controller
+    from repro.experiments import harness
+
+    monkeypatch.setattr(harness, "_CONTROLLERS", {})
+    cfg = default_cluster(scale=1.0 / 2048.0)
+    ctrl = controller_for(cfg)
+    assert ctrl == calibrate_controller(cfg)
+    assert controller_for(cfg) is ctrl
+    assert list(isolated_cache.iterdir()) == []  # nothing written to disk
 
 
 def test_format_rows_aligns_mixed_columns():

@@ -1,9 +1,6 @@
-"""Tests for the parallel fan-out subsystem and the calibration cache."""
+"""Tests for the parallel fan-out subsystem."""
 
-import json
 import pickle
-
-import pytest
 
 from repro.config import default_cluster
 from repro.execution.pool import (
@@ -14,7 +11,6 @@ from repro.execution.pool import (
     run_specs,
 )
 from repro.experiments import figures
-from repro.experiments import harness
 from repro.experiments.report import result_payload
 
 
@@ -69,50 +65,3 @@ def test_figure_parallel_output_is_byte_identical():
     with parallel_jobs(2):
         parallel = result_payload(figures.fig13_overhead(config))
     assert parallel == serial
-
-
-# ------------------------------------------------------- calibration cache
-@pytest.fixture
-def calib_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    saved = dict(harness._CONTROLLERS)
-    harness._CONTROLLERS.clear()
-    yield tmp_path
-    harness._CONTROLLERS.clear()
-    harness._CONTROLLERS.update(saved)
-
-
-def test_calibration_cache_writes_and_reads_disk(calib_env, monkeypatch):
-    config = default_cluster(scale=1.0 / 2048.0)
-    ctrl = harness.controller_for(config)
-    cached = list(calib_env.glob("calib-*.json"))
-    assert len(cached) == 1
-    payload = json.loads(cached[0].read_text())
-    assert payload["controller"]["ref_latency_read"] == ctrl.ref_latency_read
-
-    # A fresh process (simulated by clearing the in-memory layer) must
-    # load from disk instead of re-profiling.
-    harness._CONTROLLERS.clear()
-
-    def boom(*a, **k):  # pragma: no cover - would mean a cache miss
-        raise AssertionError("recalibrated despite a warm disk cache")
-
-    monkeypatch.setattr(harness, "calibrate_controller", boom)
-    assert harness.controller_for(config) == ctrl
-
-
-def test_calibration_cache_distinguishes_kwargs(calib_env):
-    config = default_cluster(scale=1.0 / 2048.0)
-    a = harness.controller_for(config)
-    b = harness.controller_for(config, gain=55.0)
-    assert b.gain == 55.0 and a.gain != 55.0
-    assert len(list(calib_env.glob("calib-*.json"))) == 2
-
-
-def test_calibration_cache_corrupt_entry_recalibrates(calib_env):
-    config = default_cluster(scale=1.0 / 2048.0)
-    ctrl = harness.controller_for(config)
-    entry = next(calib_env.glob("calib-*.json"))
-    entry.write_text("{not json")
-    harness._CONTROLLERS.clear()
-    assert harness.controller_for(config) == ctrl  # silently re-profiled

@@ -54,6 +54,17 @@ def test_scenario_no_store_flag_always_runs(capsys):
         assert "result store" not in capsys.readouterr().out
 
 
+def test_scenario_mode_names_a_nested_typo(capsys, tmp_path):
+    data = json.loads((EXAMPLES / "fig6_isolation.json").read_text())
+    data["cluster"]["yarn"]["heartbeat"] = 1.0
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["scenario", str(path)])
+    assert exc.value.code == 2
+    assert "unknown YarnConfig fields: ['heartbeat']" in capsys.readouterr().err
+
+
 def test_serve_mode_rejects_experiment_names():
     with pytest.raises(SystemExit):
         main(["serve", "fig6"])

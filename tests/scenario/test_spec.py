@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.config import GB, default_cluster
-from repro.core import NodePolicy, PolicySpec, canonical_json
+from repro.core import DepthController, NodePolicy, PolicySpec, canonical_json
 from repro.scenario import (
     JobEntry,
     MeasurementSpec,
@@ -116,8 +116,24 @@ def test_load_scenario_from_path(tmp_path):
 def test_unknown_fields_rejected():
     d = _scenario().to_dict()
     d["surprise"] = 1
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises(ValueError, match=r"unknown Scenario fields: \['surprise'\]"):
         Scenario.from_dict(d)
+
+
+@pytest.mark.parametrize("path, key, owner", [
+    (("cluster", "storage"), "peak_rat", "StorageProfile"),
+    (("cluster", "yarn"), "heartbeat", "YarnConfig"),
+    (("policy", "persistent"), "dept", "PolicySpec"),
+    (("policy", "persistent", "controller"), "gian", "DepthController"),
+])
+def test_nested_unknown_field_names_the_key(path, key, owner):
+    d = _scenario(PolicySpec.sfqd2(DepthController.symmetric(0.05))).to_dict()
+    node = d
+    for part in path:
+        node = node[part]
+    node[key] = 1.0
+    with pytest.raises(ValueError, match=rf"unknown {owner} fields: \['{key}'\]"):
+        load_scenario(d)
 
 
 def test_until_must_reference_a_job():

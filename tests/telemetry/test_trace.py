@@ -1,5 +1,6 @@
 """JSON-lines trace export: schema validation and end-to-end capture."""
 
+import dataclasses
 import io
 import json
 
@@ -9,10 +10,12 @@ from repro.config import default_cluster
 from repro.core import DepthController, PolicySpec
 from repro.experiments.harness import run_single_job
 from repro.telemetry import (
+    EVENT_TYPES,
     REQUEST_COMPLETED,
     JsonLinesTraceSink,
     RequestCompleted,
     TelemetryBus,
+    event_record,
     validate_trace_file,
     validate_trace_line,
     validate_trace_record,
@@ -107,6 +110,21 @@ def test_run_single_job_exports_schema_valid_trace(tmp_path):
     # exercises the controller and the broker.
     assert {"request_submitted", "request_dispatched",
             "request_completed", "depth_changed", "broker_sync"} <= kinds
+
+
+def _sample(cls):
+    """One instance of an event class, every field set by its type."""
+    by_type = {"float": 1.5, "int": 2, "str": "x", "bool": True}
+    enums = {"op": "read", "io_class": "persistent", "state": "completed"}
+    return cls(**{
+        f.name: enums.get(f.name, by_type[f.type])
+        for f in dataclasses.fields(cls)
+    })
+
+
+@pytest.mark.parametrize("cls", EVENT_TYPES, ids=lambda cls: cls.kind)
+def test_every_event_class_exports_a_valid_record(cls):
+    validate_trace_record(event_record(_sample(cls)))
 
 
 def test_fault_event_records_validate():
