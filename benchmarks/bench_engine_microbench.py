@@ -19,8 +19,10 @@ Workloads
   timeouts, one process-completion event per process), so events/sec is
   comparable across engine versions regardless of internal changes.
 * ``device``     — closed-loop workers on one HDD device
-  (``device_eventloop_requests_per_sec``): the event-driven
-  ``repro.storage.device`` submit/complete dispatch.
+  (``device_eventloop_requests_per_sec``): the ``repro.storage.device``
+  submit/complete dispatch, each worker the owner of its requests and
+  resubmitting when one completes, as the schedulers and the §4 probe
+  drive the device.
 * ``interrupts`` — processes that are repeatedly interrupted mid-wait:
   the ``_interrupts`` queue path in ``Process._resume``.
 
@@ -66,20 +68,36 @@ def bench_timeouts(n_procs: int, n_timeouts: int) -> float:
     return n_events / elapsed
 
 
+class _ClosedLoopWorker:
+    """Owner of one worker's requests: issues the next when one
+    completes, alternating write and read, ``n_requests`` in all."""
+
+    __slots__ = ("device", "n_requests", "issued")
+
+    def __init__(self, device: StorageDevice, n_requests: int):
+        self.device = device
+        self.n_requests = n_requests
+        self.issued = 0
+
+    def issue(self) -> None:
+        i = self.issued
+        if i < self.n_requests:
+            self.issued = i + 1
+            self.device.submit("read" if i % 2 else "write", 1 << 20, self)
+
+    def _on_device_event(self, _req, _record) -> None:
+        self.issue()
+
+
 def bench_device(n_workers: int, n_requests: int) -> float:
-    """Requests/sec through the event-driven device dispatch path."""
+    """Requests/sec through the device's submit/complete dispatch."""
     sim = Simulator()
     device = StorageDevice(sim, HDD_PROFILE, name="bench")
-    chunk = 1 << 20
-
-    def worker():
-        for i in range(n_requests):
-            yield device.submit("read" if i % 2 else "write", chunk)
-
-    for _ in range(n_workers):
-        sim.process(worker())
+    workers = [_ClosedLoopWorker(device, n_requests) for _ in range(n_workers)]
     total = n_workers * n_requests
     t0 = time.perf_counter()
+    for worker in workers:
+        worker.issue()
     sim.run()
     elapsed = time.perf_counter() - t0
     return total / elapsed

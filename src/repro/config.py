@@ -182,6 +182,18 @@ class YarnConfig:
     heartbeat_interval: float = 1.0    # NM -> RM heartbeat (piggybacks broker)
     max_task_attempts: int = 4         # mapreduce.map/reduce.maxattempts
 
+    def __post_init__(self):
+        for name in ("map_task_vcores", "map_task_memory",
+                     "reduce_task_vcores", "reduce_task_memory",
+                     "dfs_block_size"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        for name in ("dfs_replication", "max_task_attempts"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
     # ------------------------------------------------------- serialization
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
@@ -222,6 +234,24 @@ class ClusterConfig:
             raise ValueError("block_scale must be in (0, 1]")
         if self.io_chunk <= 0:
             raise ValueError("io_chunk must be positive")
+        if not 0 < self.nic_bandwidth < _INF:  # also rejects NaN
+            raise ValueError(
+                f"nic_bandwidth must be finite and > 0, got {self.nic_bandwidth}")
+        for name in ("read_window", "write_window"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        yarn = self.yarn
+        memory = max(yarn.map_task_memory, yarn.reduce_task_memory)
+        if self.alloc_memory_per_node < memory:
+            raise ValueError(
+                f"alloc_memory_per_node must hold the largest task container "
+                f"({memory} bytes), got {self.alloc_memory_per_node}")
+        vcores = max(yarn.map_task_vcores, yarn.reduce_task_vcores)
+        if self.cores_per_node < vcores:
+            raise ValueError(
+                f"cores_per_node must hold the largest task container "
+                f"({vcores} vcores), got {self.cores_per_node}")
 
     @property
     def total_cores(self) -> int:

@@ -289,7 +289,7 @@ class IOScheduler:
             telemetry.publish(RequestDispatched(
                 t=now, source=self.name, app_id=req.app_id,
                 op=req.op, nbytes=req.nbytes, io_class=req.io_class.value,
-                wait=now - req.submit_time,
+                wait=now - req.t_submitted,
             ))
         # The device reports back through _on_device_event.
         self.device.submit(req.op, req.nbytes, self, req)

@@ -72,21 +72,10 @@ def profile_device(
     chunk: int,
     max_concurrency: int = _LEVELS,
     duration: float = _DURATION,
-) -> list[ProfilePoint]:
-    """Closed-loop latency/throughput sweep over concurrency levels."""
-    return _sweep(storage, op, chunk, max_concurrency, duration)
-
-
-def _sweep(
-    storage: StorageProfile,
-    op: str,
-    chunk: int,
-    max_concurrency: int = _LEVELS,
-    duration: float = _DURATION,
     telemetry: TelemetryBus | None = None,
 ) -> list[ProfilePoint]:
-    """:func:`profile_device`, each level's device publishing on
-    ``telemetry``."""
+    """Closed-loop latency/throughput sweep over concurrency levels,
+    each level's device publishing on ``telemetry``."""
     if op not in ("read", "write"):
         raise ValueError(f"unknown op {op!r}")
     points = []
@@ -152,7 +141,7 @@ def calibrate_controller(
     storms: list = []
     bus = TelemetryBus()
     bus.subscribe(FLUSH_SPIKE, storms.append)
-    write_points = _sweep(storage, "write", chunk, telemetry=bus)
+    write_points = profile_device(storage, "write", chunk, telemetry=bus)
     if storage.read_cost == storage.write_cost and not storms:
         read_points = write_points
     else:

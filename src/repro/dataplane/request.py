@@ -86,11 +86,6 @@ class IORequest:
     def weight(self) -> float:
         return self.tag.weight
 
-    @property
-    def submit_time(self) -> float:
-        """Creation time (compat alias for ``t_submitted``)."""
-        return self.t_submitted
-
     # ------------------------------------------------------------ lifecycle
     def _advance(self, to: RequestState, now: float) -> None:
         if to not in self.state.allowed:
@@ -150,18 +145,6 @@ class IORequest:
         if self.t_dispatched is None or self.t_finished is None:
             return 0.0
         return self.t_finished - self.t_dispatched
-
-    def timestamps(self) -> dict[str, float]:
-        """The lifecycle transition times recorded so far."""
-        out = {"submitted": self.t_submitted}
-        for key, value in (
-            ("queued", self.t_queued),
-            ("dispatched", self.t_dispatched),
-            (self.state.value if self.state.terminal else "", self.t_finished),
-        ):
-            if key and value is not None:
-                out[key] = value
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

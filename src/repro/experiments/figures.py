@@ -237,8 +237,9 @@ def fig7_depth_adaptation(config: ClusterConfig | None = None) -> ExperimentResu
 # --------------------------------------------------------------------- Fig 8
 def fig8_isolation_ssd(config: ClusterConfig | None = None) -> ExperimentResult:
     """Fig. 8a/8b: the WC+TG isolation study on the SSD storage setup,
-    where SFQ(D2) blends split read/write reference latencies."""
-    config = config or default_cluster(storage=SSD_PROFILE)
+    where SFQ(D2) blends split read/write reference latencies.  The
+    storage of ``config`` is replaced by :data:`SSD_PROFILE`."""
+    config = (config or default_cluster()).with_storage(SSD_PROFILE)
     result = ExperimentResult("fig8_isolation_ssd")
     ctrl = controller_for(config)
 

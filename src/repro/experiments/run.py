@@ -9,7 +9,7 @@ Regenerate any figure or table of the paper from the shell::
     python -m repro.experiments.run fig11 --jobs 0    # one worker per core
     python -m repro.experiments.run --list
     python -m repro.experiments.run fig6 --scale 128  # 1/128 volumes
-    python -m repro.experiments.run fig8 --storage ssd
+    python -m repro.experiments.run fig3 --storage ssd  # fig8 is always SSD
     python -m repro.experiments.run all --out results/
     python -m repro.experiments.run fig6 --profile    # cProfile + hotspots
 
@@ -316,7 +316,9 @@ def main(argv: list[str] | None = None) -> int:
                              "over values (repeatable; combines as a grid)")
     parser.add_argument("--scale", type=float, default=64.0, metavar="N",
                         help="run at 1/N of the paper's data volumes (default 64)")
-    parser.add_argument("--storage", choices=("hdd", "ssd"), default="hdd")
+    parser.add_argument("--storage", choices=("hdd", "ssd"), default="hdd",
+                        help="storage profile of every figure but fig8, "
+                             "which always runs on the SSD (default hdd)")
     parser.add_argument("--seed", type=int, default=20160531)
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="worker processes for the parallel fan-out "

@@ -17,13 +17,14 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core import DataNodeIO, IOClass, IORequest, IOTag
 from repro.dataplane.streams import iter_chunks, windowed_stream
+from repro.faults.plan import FaultPlan
 from repro.hdfs.blocks import BlockLocations
 from repro.net import NetFabric
 from repro.simcore import Event, FaultError, Interrupt, Simulator
 from repro.telemetry import REPLICA_FAILOVER, ReplicaFailover, TelemetryBus
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults import FaultInjector, FaultPlan
+    from repro.faults import FaultInjector
 
 __all__ = ["BlockService"]
 
@@ -48,31 +49,53 @@ class BlockService:
         self.read_window = read_window
         self.write_window = write_window
         self.telemetry = telemetry
-        self._fault_plan: Optional["FaultPlan"] = None
+        self._fault_plan = FaultPlan()
         self._injector: Optional["FaultInjector"] = None
 
     def enable_failover(
-        self, plan: "FaultPlan", injector: Optional["FaultInjector"] = None
+        self, plan: FaultPlan, injector: Optional["FaultInjector"] = None
     ) -> None:
-        """Turn on the read retry/failover path (fault-injected runs only;
-        without a plan, reads take the exact pre-fault-layer code path)."""
+        """Read with the retry budget, backoff and timeout of ``plan``,
+        skipping the replicas ``injector`` reports down."""
         self._fault_plan = plan
         self._injector = injector
 
     def read_block(self, loc: BlockLocations, reader_node: str, tag: IOTag):
-        """Generator: stream one block to ``reader_node``.
+        """Generator: stream one block to ``reader_node``; returns the
+        number of bytes read.
 
-        Reads from the closest replica; remote reads additionally cross
-        the network.  Returns the number of bytes read.  With a fault
-        plan attached, a failed or timed-out attempt retries on the next
-        replica with exponential backoff.
+        Attempt 0 reads the closest replica; remote reads additionally
+        cross the network.  A failed or timed-out attempt retries on the
+        next replica with exponential backoff, up to the fault plan's
+        ``max_read_attempts``.  Without a plan (:meth:`enable_failover`)
+        the defaults of :class:`~repro.faults.FaultPlan` apply, and a
+        healthy run never retries.
         """
-        if self._fault_plan is not None:
-            return (yield from self._read_block_failover(loc, reader_node, tag))
-        yield from self._stream_from_replica(
-            loc, loc.closest(reader_node), reader_node, tag
-        )
-        return loc.block.size
+        plan = self._fault_plan
+        order = self._failover_order(loc, reader_node)
+        last_exc: Optional[Exception] = None
+        for attempt in range(plan.max_read_attempts):
+            if attempt > 0 and plan.read_backoff > 0:
+                yield self.sim.timeout(plan.read_backoff * 2 ** (attempt - 1))
+            live = order
+            if self._injector is not None:
+                live = [r for r in order if self._injector.alive(r)] or order
+            replica = live[attempt % len(live)]
+            try:
+                yield from self._read_attempt(
+                    loc, replica, reader_node, tag, plan.read_timeout
+                )
+                return loc.block.size
+            except FaultError as exc:
+                last_exc = exc
+                telemetry = self.telemetry
+                if telemetry is not None and telemetry.publishes(REPLICA_FAILOVER):
+                    telemetry.publish(ReplicaFailover(
+                        t=self.sim.now, source=reader_node, app_id=tag.app_id,
+                        block_id=loc.block.block_id, failed=replica,
+                        attempt=attempt + 1,
+                    ))
+        raise last_exc
 
     def _stream_from_replica(
         self, loc: BlockLocations, replica: str, reader_node: str, tag: IOTag
@@ -100,38 +123,10 @@ class BlockService:
 
     # -------------------------------------------------------- read failover
     def _failover_order(self, loc: BlockLocations, reader_node: str) -> list[str]:
-        """Replica preference: local first (matching :meth:`closest`),
-        then the remaining replicas in placement order."""
-        if reader_node in loc.replicas:
-            return [reader_node] + [r for r in loc.replicas if r != reader_node]
-        return list(loc.replicas)
-
-    def _read_block_failover(self, loc: BlockLocations, reader_node: str, tag: IOTag):
-        plan = self._fault_plan
-        order = self._failover_order(loc, reader_node)
-        last_exc: Optional[Exception] = None
-        for attempt in range(plan.max_read_attempts):
-            if attempt > 0 and plan.read_backoff > 0:
-                yield self.sim.timeout(plan.read_backoff * 2 ** (attempt - 1))
-            live = order
-            if self._injector is not None:
-                live = [r for r in order if self._injector.alive(r)] or order
-            replica = live[attempt % len(live)]
-            try:
-                yield from self._read_attempt(
-                    loc, replica, reader_node, tag, plan.read_timeout
-                )
-                return loc.block.size
-            except FaultError as exc:
-                last_exc = exc
-                telemetry = self.telemetry
-                if telemetry is not None and telemetry.publishes(REPLICA_FAILOVER):
-                    telemetry.publish(ReplicaFailover(
-                        t=self.sim.now, source=reader_node, app_id=tag.app_id,
-                        block_id=loc.block.block_id, failed=replica,
-                        attempt=attempt + 1,
-                    ))
-        raise last_exc
+        """Replica preference: :meth:`BlockLocations.closest` first, then
+        the remaining replicas in placement order."""
+        first = loc.closest(reader_node)
+        return [first] + [r for r in loc.replicas if r != first]
 
     def _read_attempt(
         self,

@@ -1,5 +1,5 @@
 """Network substrate: per-node NICs with fair-shared bandwidth."""
 
-from repro.net.fabric import Link, NetFabric
+from repro.net.fabric import NetFabric
 
-__all__ = ["Link", "NetFabric"]
+__all__ = ["NetFabric"]

@@ -14,6 +14,11 @@ land on one receiver:
 * a transfer is paced by the slower of its two NIC shares; we
   approximate this by charging the bytes to both endpoint links and
   completing when both are done.
+
+Each NIC direction is a :class:`~repro.storage.StorageDevice` with a
+flat processor-sharing profile (``n_half = 0``: ``n`` flows share the
+bandwidth equally, no knee, no overhead), so the fault injector fails,
+repairs and slows a link exactly as it does a disk.
 """
 
 from __future__ import annotations
@@ -23,50 +28,7 @@ from repro.simcore import Event, Simulator
 from repro.simcore.engine import _PENDING
 from repro.storage import StorageDevice
 
-__all__ = ["Link", "NetFabric"]
-
-
-class Link:
-    """One direction of a NIC, as a flat processor-sharing pipe."""
-
-    def __init__(self, sim: Simulator, bandwidth: float, name: str):
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        # Reuse the PS machinery of StorageDevice with a flat rate curve:
-        # n flows share `bandwidth` equally, no knee, no overhead.
-        self._pipe = StorageDevice(
-            sim,
-            StorageProfile(name=f"link:{name}", peak_rate=bandwidth, n_half=0.0),
-            name=f"link:{name}",
-        )
-        self.name = name
-
-    def send(self, nbytes: int) -> Event:
-        return self._pipe.submit("read", nbytes)
-
-    @property
-    def bytes_carried(self) -> float:
-        return self._pipe.read_meter.total
-
-    @property
-    def flows(self) -> int:
-        return self._pipe.in_flight
-
-    # -------------------------------------------------------------- faults
-    @property
-    def failed(self) -> bool:
-        return self._pipe.failed
-
-    def set_rate_factor(self, factor: float) -> None:
-        """Scale this direction's bandwidth (link degradation)."""
-        self._pipe.set_rate_factor(factor)
-
-    def fail(self, exc: BaseException) -> None:
-        """Cut the link: in-flight and future sends fail with ``exc``."""
-        self._pipe.fail(exc)
-
-    def repair(self) -> None:
-        self._pipe.repair()
+__all__ = ["NetFabric"]
 
 
 class NetFabric:
@@ -75,8 +37,13 @@ class NetFabric:
     def __init__(self, sim: Simulator, node_ids: list[str], bandwidth: float):
         self.sim = sim
         self.bandwidth = bandwidth
-        self.egress = {nid: Link(sim, bandwidth, f"{nid}:out") for nid in node_ids}
-        self.ingress = {nid: Link(sim, bandwidth, f"{nid}:in") for nid in node_ids}
+
+        def link(name: str) -> StorageDevice:
+            profile = StorageProfile(name=name, peak_rate=bandwidth, n_half=0.0)
+            return StorageDevice(sim, profile, name=name)
+
+        self.egress = {nid: link(f"link:{nid}:out") for nid in node_ids}
+        self.ingress = {nid: link(f"link:{nid}:in") for nid in node_ids}
         self.total_bytes = 0.0
 
     def transfer(self, src: str, dst: str, nbytes: int) -> Event:
@@ -96,13 +63,15 @@ class NetFabric:
             done.succeed(nbytes)
             return done
         self.total_bytes += nbytes
-        _Join(self.sim, done, nbytes,
-              self.egress[src].send(nbytes), self.ingress[dst].send(nbytes))
+        join = _Join(self.sim, done, nbytes)
+        self.egress[src].submit("read", nbytes, join)
+        self.ingress[dst].submit("read", nbytes, join)
         return done
 
 
 class _Join:
-    """Settles a remote transfer once both legs are done.
+    """Owner of a remote transfer's two legs; settles the transfer once
+    both are done.
 
     A relay event triggers when both legs succeeded or the first one
     failed (a link cut mid-transfer); when it pops, the transfer's own
@@ -112,18 +81,15 @@ class _Join:
 
     __slots__ = ("relay", "left", "done", "nbytes")
 
-    def __init__(self, sim: Simulator, done: Event, nbytes: int,
-                 out_leg: Event, in_leg: Event):
+    def __init__(self, sim: Simulator, done: Event, nbytes: int):
         self.relay = relay = Event(sim, name="all")
         self.left = 2
         self.done = done
         self.nbytes = nbytes
         relay.callbacks.append(self._settle)
-        on_leg = self._on_leg
-        out_leg.callbacks.append(on_leg)
-        in_leg.callbacks.append(on_leg)
 
-    def _on_leg(self, leg: Event) -> None:
+    def _on_device_event(self, _req, leg) -> None:
+        """A leg's device finished: ``leg`` is its completion record."""
         relay = self.relay
         if relay._state != _PENDING:
             return  # the other leg failed first

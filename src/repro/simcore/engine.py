@@ -13,6 +13,8 @@ IBIS cluster simulation:
   when the event triggers, its value is sent back into the generator
   (or the stored exception is thrown into it).
 * :class:`Timeout` is an event that triggers after a simulated delay.
+* :class:`Condition` waits for several events at once
+  (:meth:`Simulator.all_of`, :meth:`Simulator.any_of`).
 * Processes can be interrupted (:class:`Interrupt`), which is how task
   preemption is modelled.
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "Event",
@@ -35,8 +37,7 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
-    "AllOf",
-    "AnyOf",
+    "Condition",
 ]
 
 _INF = float("inf")
@@ -371,25 +372,42 @@ class Process(Event):
 
 
 class Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+    """A counted wait: succeeds, with no value, once ``need`` of
+    ``events`` have succeeded, and fails with the first failure among
+    them.  :meth:`Simulator.all_of` waits for every event and
+    :meth:`Simulator.any_of` for one.
 
-    __slots__ = ("_events", "_remaining", "_mode")
+    ``events`` is kept, not copied: the caller leaves it alone until
+    the condition settles.  When it settles it removes its callback
+    from the events that have not fired, so a wait over long-lived
+    events leaves no dead callback behind.
+    """
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event], mode: str):
-        super().__init__(sim, name=mode)
-        self._events = list(events)
-        self._remaining = len(self._events)
-        self._mode = mode
-        if self._remaining == 0:
-            self.succeed([])
+    __slots__ = ("_events", "_need")
+
+    def __init__(self, sim: "Simulator", events: list[Event], need: int, name: str):
+        # Hot path (one condition per stream wait): inline Event.__init__.
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._exc = None
+        self._state = _PENDING
+        self.name = name
+        self._events = events
+        self._need = need
+        if not need:
+            self.succeed()
             return
-        for ev in self._events:
+        # Bound per wait, not kept on self: a stored bound method would
+        # make every condition a reference cycle.
+        cb = self._check
+        for ev in events:
             if self._state != _PENDING:
-                break  # settled already (e.g. AnyOf with a processed component)
+                break  # settled already by a processed event
             if ev._state == _PROCESSED:
-                self._check(ev)
+                cb(ev)
             else:
-                ev.callbacks.append(self._check)
+                ev.callbacks.append(cb)
 
     def _check(self, ev: Event) -> None:
         if self._state != _PENDING:
@@ -398,45 +416,19 @@ class Condition(Event):
             self._detach()
             self.fail(ev._exc)
             return
-        self._remaining -= 1
-        if self._mode == "any" or self._remaining == 0:
-            # _process() flips state to PROCESSED before callbacks run, so
-            # the event that fired this check is included.
+        self._need -= 1
+        if not self._need:
             self._detach()
-            self.succeed([e._value for e in self._events if e.processed])
+            self.succeed()
 
     def _detach(self) -> None:
-        """De-register our callback from components that have not fired.
-
-        Without this, an AnyOf over long-lived events would leave one
-        dead callback per component alive on every still-pending event
-        for the rest of the simulation.
-        """
-        cb = self._check
+        cb = self._check  # equal to the bound method attached above
         for ev in self._events:
             if ev._state != _PROCESSED:
                 try:
                     ev.callbacks.remove(cb)
                 except ValueError:
                     pass
-
-
-class AllOf(Condition):
-    """Triggers when all component events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, events, "all")
-
-
-class AnyOf(Condition):
-    """Triggers when any component event triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, events, "any")
 
 
 class _LaterQueue:
@@ -560,11 +552,13 @@ class Simulator:
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
+    def all_of(self, events: list[Event]) -> Condition:
+        """Wait for every one of ``events`` (see :class:`Condition`)."""
+        return Condition(self, events, len(events), "all")
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
+    def any_of(self, events: list[Event]) -> Condition:
+        """Wait for the first of ``events``; with none, succeed at once."""
+        return Condition(self, events, 1 if events else 0, "any")
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` at absolute simulated time ``when``."""

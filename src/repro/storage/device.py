@@ -37,7 +37,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple, Optional
 
 from repro.config import StorageProfile
-from repro.simcore import Event, RateMeter, Simulator
+from repro.simcore import RateMeter, Simulator
 from repro.simcore.engine import _PROCESSED, _TRIGGERED
 from repro.telemetry import FLUSH_SPIKE, FlushSpike, TelemetryBus
 
@@ -50,8 +50,8 @@ _INITIAL_DEPTH = 16
 
 
 class IOCompletion(NamedTuple):
-    """Returned as the value of a completed I/O's event.  A named tuple:
-    immutable, and cheap to build once per completed request."""
+    """The outcome of a completed I/O.  A named tuple: immutable, and
+    cheap to build once per completed request."""
 
     op: str          # "read" | "write"
     nbytes: int
@@ -59,30 +59,22 @@ class IOCompletion(NamedTuple):
 
 
 class _Active:
-    """One in-flight request.
-
-    Submitted with an ``owner``, the record is also the engine entry
-    that reports the outcome: at completion (or failure) the device
-    queues the record at the point an :class:`Event` for the request
-    would be triggered, and when popped it calls
-    ``owner._on_device_event(req, self)`` with the outcome in
-    ``_value`` / ``_exc``.  Without an owner the outcome goes to
-    ``event`` instead.
+    """One in-flight request, and the engine entry that reports its
+    outcome: at completion (or failure) the device queues the record,
+    and when popped it calls ``owner._on_device_event(req, self)`` with
+    the outcome in ``_value`` / ``_exc``.
     """
 
-    __slots__ = ("op", "nbytes", "submit_time", "event", "target_v", "owner",
-                 "req", "_value", "_exc")
+    __slots__ = ("op", "nbytes", "submit_time", "owner", "req", "_value",
+                 "_exc")
 
     #: a queued record is never withdrawn
     _state = _TRIGGERED
 
-    def __init__(self, op: str, nbytes: int, submit_time: float,
-                 event: Optional[Event], owner, req, target_v: float = 0.0):
+    def __init__(self, op: str, nbytes: int, submit_time: float, owner, req):
         self.op = op
         self.nbytes = nbytes
         self.submit_time = submit_time
-        self.event = event
-        self.target_v = target_v
         self.owner = owner
         self.req = req
         self._exc: Optional[BaseException] = None
@@ -108,7 +100,8 @@ class _Tick:
 
 
 class StorageDevice:
-    """A single spindle/flash device with processor-sharing service."""
+    """A single spindle/flash device, or one direction of a NIC
+    (:class:`~repro.net.NetFabric`)."""
 
     def __init__(
         self,
@@ -147,10 +140,8 @@ class StorageDevice:
 
         # Completion-tick dispatch: every submit/complete reschedules the
         # next tick.  The superseded tick is withdrawn from the event
-        # queue (tombstoned) so it never dispatches.  I/O event names are
-        # precomputed.
+        # queue (tombstoned) so it never dispatches.
         self._live_tick: Optional[_Tick] = None
-        self._io_name = {"read": f"io:{name}:read", "write": f"io:{name}:write"}
 
         # Instrumentation (per-request latencies travel as telemetry: the
         # interposed scheduler publishes them in ``request_completed``).
@@ -163,30 +154,24 @@ class StorageDevice:
     def in_flight(self) -> int:
         return len(self._heap)
 
-    def submit(self, op: str, nbytes: int, owner=None, req=None) -> Optional[Event]:
+    def submit(self, op: str, nbytes: int, owner, req=None) -> None:
         """Begin servicing an I/O immediately (no internal queue — admission
         control is the scheduler's job).
 
-        Without an ``owner`` the returned event succeeds with an
-        :class:`IOCompletion` when the device finishes the request (or
-        fails with the device fault).  With one, nothing is returned:
-        the device calls ``owner._on_device_event(req, record)`` at the
-        same point in event order instead, with the outcome in the
-        record's ``_value`` / ``_exc``."""
+        When the device finishes the request, or fails it with the
+        device fault, it calls ``owner._on_device_event(req, record)``:
+        the record's ``_value`` is an :class:`IOCompletion`, or its
+        ``_exc`` the fault."""
         if op not in ("read", "write"):
             raise ValueError(f"unknown op {op!r}")
         if nbytes <= 0:
             raise ValueError(f"nbytes must be positive, got {nbytes}")
         sim = self.sim
         if self._failed is not None:
-            if owner is None:
-                ev = Event(sim, name=self._io_name[op])
-                ev.fail(self._failed)
-                return ev
-            entry = _Active(op, int(nbytes), sim.now, None, owner, req)
+            entry = _Active(op, int(nbytes), sim.now, owner, req)
             entry._exc = self._failed
             sim._push(0.0, entry)
-            return None
+            return
         self._advance()
         work = nbytes * self._op_cost[op] + self._request_overhead
         if self._fcfs:
@@ -194,8 +179,7 @@ class StorageDevice:
             target = self._last_target = max(self._last_target, self._v) + work
         else:
             target = self._v + work
-        ev = None if owner is not None else Event(sim, name=self._io_name[op])
-        entry = _Active(op, int(nbytes), sim.now, ev, owner, req, target)
+        entry = _Active(op, int(nbytes), sim.now, owner, req)
         self._seq += 1
         heap = self._heap
         heappush(heap, (target, self._seq, entry))
@@ -204,7 +188,6 @@ class StorageDevice:
         if op == "write":
             self._note_write(nbytes)
         self._reschedule()
-        return ev
 
     @property
     def in_storm(self) -> bool:
@@ -232,8 +215,7 @@ class StorageDevice:
 
     def fail(self, exc: BaseException) -> None:
         """Kill the device: every in-flight I/O fails with ``exc``, and
-        every future :meth:`submit` returns an already-failed event until
-        :meth:`repair` is called."""
+        so does every later :meth:`submit`, until :meth:`repair`."""
         self._advance()
         self._failed = exc
         sim = self.sim
@@ -245,11 +227,8 @@ class StorageDevice:
         # FCFS tail restarts from the current progress point on repair.
         self._last_target = self._v
         for _tv, _seq, entry in dropped:
-            if entry.owner is None:
-                entry.event.fail(exc)
-            else:
-                entry._exc = exc
-                sim._push(0.0, entry)
+            entry._exc = exc
+            sim._push(0.0, entry)
 
     def repair(self) -> None:
         """Bring a failed device back (empty, at full rate)."""
@@ -355,12 +334,9 @@ class StorageDevice:
             meter = self.read_meter if entry.op == "read" else self.write_meter
             meter.add(now, entry.nbytes)
             n_done += 1
-            if entry.owner is None:
-                entry.event.succeed(done)
-            else:
-                entry._value = done
-                sim._queue._seq += 1
-                sim._now_q.append(entry)
+            entry._value = done
+            sim._queue._seq += 1
+            sim._now_q.append(entry)
         self.completed_requests += n_done
         self._reschedule()
 

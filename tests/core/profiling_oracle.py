@@ -12,6 +12,7 @@ from repro.config import StorageProfile
 from repro.core.profiling import ProfilePoint
 from repro.simcore import Simulator
 from repro.storage import StorageDevice
+from tests.device_events import submit
 
 
 @lru_cache(maxsize=None)
@@ -31,7 +32,7 @@ def profile_device(
 
         def worker():
             while sim.now < duration:
-                done = yield device.submit(op, chunk)
+                done = yield submit(device, op, chunk)
                 latencies.append(done.latency)
 
         for _ in range(n):

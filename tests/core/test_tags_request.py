@@ -26,7 +26,7 @@ def test_request_carries_tag_fields():
     assert req.app_id == "app1"
     assert req.weight == 32.0
     assert req.io_class is IOClass.NETWORK
-    assert req.submit_time == 0.0
+    assert req.t_submitted == 0.0
     assert req.t_dispatched is None
 
 

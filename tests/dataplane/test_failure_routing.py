@@ -86,13 +86,13 @@ def test_cut_link_fails_its_transfer_two_hops_after_the_leg():
     sim = Simulator()
     net = NetFabric(sim, ["a", "b"], 100.0 * MB)
     xfer = net.transfer("a", "b", 100 * MB)
-    leg_pipe = net.egress["a"]._pipe
-    assert leg_pipe.in_flight == 1
+    egress = net.egress["a"]
+    assert egress.in_flight == 1
     sim.call_at(0.5, lambda: net.egress["a"].fail(LinkFailure("a:out cut")))
     sim.run(until=0.25)
     # The cut itself is the next event.
     sim.step()
-    assert sim.now == 0.5 and leg_pipe.in_flight == 0
+    assert sim.now == 0.5 and egress.in_flight == 0
     assert not xfer.triggered
     # Hop 1 processes the failed leg; hop 2 joins the legs.
     sim.step()

@@ -30,7 +30,6 @@ def test_new_request_is_submitted():
     assert req.t_submitted == 0.0
     assert req.t_queued is None and req.t_dispatched is None
     assert req.t_finished is None
-    assert req.submit_time == req.t_submitted  # compat alias
 
 
 def test_dispatch_time_field_is_gone():
@@ -52,9 +51,8 @@ def test_happy_path_transitions_and_timestamps():
     assert req.state.terminal
     assert req.queue_wait == pytest.approx(2.0)
     assert req.service_time == pytest.approx(4.5)
-    assert req.timestamps() == {
-        "submitted": 0.0, "queued": 1.0, "dispatched": 3.0, "completed": 7.5,
-    }
+    assert (req.t_submitted, req.t_queued, req.t_dispatched,
+            req.t_finished) == (0.0, 1.0, 3.0, 7.5)
 
 
 def test_cancel_before_dispatch_records_wait():

@@ -130,6 +130,13 @@ def test_artifact_digest(name):
     assert_digest(name, DIGEST_ONLY[name]())
 
 
+def test_fig8_swaps_in_the_ssd_whatever_storage_it_gets():
+    """``run`` hands every figure its ``--storage`` config, HDD by
+    default; fig8 still runs on the SSD."""
+    assert TINY.storage.name == "hdd"
+    assert_digest("fig8", fig8_isolation_ssd(TINY))
+
+
 def test_tab3_counts_real_files():
     """The counts move whenever those files change, so only the table's
     shape is pinned: its components in order, its row keys, positive

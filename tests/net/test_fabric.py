@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import MB
-from repro.net import Link, NetFabric
+from repro.net import NetFabric
 from repro.simcore import Simulator
 
 BW = 100.0 * MB
@@ -11,8 +11,8 @@ BW = 100.0 * MB
 
 def test_link_validation():
     sim = Simulator()
-    with pytest.raises(ValueError):
-        Link(sim, 0.0, "x")
+    with pytest.raises(ValueError, match="peak_rate"):
+        NetFabric(sim, ["x"], 0.0)
 
 
 def test_single_transfer_time():
@@ -91,8 +91,8 @@ def test_total_bytes_accounting():
 
     sim.run(until=sim.process(proc()))
     assert net.total_bytes == 15 * MB
-    assert net.egress["a"].bytes_carried == 10 * MB
-    assert net.ingress["a"].bytes_carried == 5 * MB
+    assert net.egress["a"].read_meter.total == 10 * MB
+    assert net.ingress["a"].read_meter.total == 5 * MB
 
 
 # ------------------------------------------------- fault injection hooks

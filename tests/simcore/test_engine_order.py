@@ -21,6 +21,7 @@ from repro.config import HDD_PROFILE, MB
 from repro.simcore import Interrupt, SimulationError, Simulator
 from repro.simcore.engine import _TRIGGERED, WITHDRAWN
 from repro.storage.device import StorageDevice
+from tests.device_events import submit
 from tests.simcore.oracle import HeapSimulator
 
 #: 0.25-multiples tie exactly; 0.1 and 0.3 produce float near-ties; 1e-18
@@ -184,7 +185,7 @@ def _scripted_simulation(sim, use_run):
 
     def io_worker(name, n):
         for i in range(n):
-            done = yield dev.submit("write" if i % 3 == 0 else "read", 2 * MB)
+            done = yield submit(dev, "write" if i % 3 == 0 else "read", 2 * MB)
             trace.append((sim.now, name, round(done.latency, 9)))
             # Same-instant hops between the device's completion events.
             yield sim.timeout(0.0)

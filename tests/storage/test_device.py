@@ -6,6 +6,7 @@ from repro.config import MB, StorageProfile
 from repro.simcore import Simulator
 from repro.storage import StorageDevice
 from repro.telemetry import FLUSH_SPIKE, TelemetryBus
+from tests.device_events import submit
 
 # A deliberately simple profile: no overhead, no knee, no storms —
 # W(n) = 100 MB/s flat, so analytic latencies are exact.
@@ -16,7 +17,7 @@ KNEE = StorageProfile(name="knee", peak_rate=100.0 * MB, n_half=1.0)
 
 def _run_io(sim, dev, op, nbytes):
     def proc():
-        done = yield dev.submit(op, nbytes)
+        done = yield submit(dev, op, nbytes)
         return done
 
     return sim.process(proc())
@@ -61,7 +62,7 @@ def test_late_arrival_shares_remaining_service():
 
     def late():
         yield sim.timeout(0.5)
-        done = yield dev.submit("read", 25 * MB)
+        done = yield submit(dev, "read", 25 * MB)
         return sim.now, done.latency
 
     p = sim.process(late())
@@ -144,9 +145,9 @@ def test_invalid_submissions_rejected():
     sim = Simulator()
     dev = StorageDevice(sim, FLAT)
     with pytest.raises(ValueError):
-        dev.submit("append", 10)
+        submit(dev, "append", 10)
     with pytest.raises(ValueError):
-        dev.submit("read", 0)
+        submit(dev, "read", 0)
 
 
 def test_flush_storm_degrades_service():
@@ -163,9 +164,9 @@ def test_flush_storm_degrades_service():
 
     def proc():
         # Crossing the 50 MB threshold triggers a storm immediately.
-        yield dev.submit("write", 50 * MB)
+        yield submit(dev, "write", 50 * MB)
         t_mid = sim.now
-        done = yield dev.submit("read", 75 * MB)
+        done = yield submit(dev, "read", 75 * MB)
         return t_mid, done.latency, sim.now
 
     p = sim.process(proc())
@@ -267,7 +268,7 @@ def test_fail_errors_inflight_and_new_requests():
 
     def proc(nbytes):
         try:
-            yield dev.submit("read", nbytes)
+            yield submit(dev, "read", nbytes)
         except DeviceFailure:
             caught.append(sim.now)
 
@@ -291,7 +292,7 @@ def test_repair_restores_service():
 
     def proc():
         yield sim.timeout(2.0)
-        done = yield dev.submit("read", 100 * MB)
+        done = yield submit(dev, "read", 100 * MB)
         return done.latency
 
     p = sim.process(proc())

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.config import MB, StorageProfile
 from repro.simcore import Simulator
 from repro.storage import StorageDevice
+from tests.device_events import submit
 
 
 def make_profile(discipline, n_half=0.8, write_cost=1.0, overhead=0.0):
@@ -33,7 +34,7 @@ def test_property_all_bytes_serviced_exactly_once(discipline, sizes, ops):
     sim = Simulator()
     dev = StorageDevice(sim, make_profile(discipline))
     op_list = [ops.draw(st.sampled_from(["read", "write"])) for _ in sizes]
-    events = [dev.submit(op, sz * MB) for op, sz in zip(op_list, sizes)]
+    events = [submit(dev, op, sz * MB) for op, sz in zip(op_list, sizes)]
     sim.run()
     assert all(ev.processed and ev.ok for ev in events)
     expect_read = sum(sz for op, sz in zip(op_list, sizes) if op == "read")
@@ -52,7 +53,7 @@ def test_property_fcfs_completion_order_is_arrival_order(sizes):
     dev = StorageDevice(sim, make_profile("fcfs"))
     order = []
     for i, sz in enumerate(sizes):
-        ev = dev.submit("read", sz * MB)
+        ev = submit(dev, "read", sz * MB)
         ev.callbacks.append(lambda _e, i=i: order.append(i))
     sim.run()
     assert order == list(range(len(sizes)))
@@ -70,7 +71,7 @@ def test_property_makespan_bounded_by_rate_curve(discipline, sizes):
     profile = make_profile(discipline, n_half=1.0)
     dev = StorageDevice(sim, profile)
     for sz in sizes:
-        dev.submit("read", sz * MB)
+        submit(dev, "read", sz * MB)
     sim.run()
     work = sum(sizes) * MB
     assert sim.now >= work / profile.peak_rate - 1e-9
@@ -90,7 +91,7 @@ def test_property_equal_batch_finishes_at_rate_curve_prediction(n, discipline):
     profile = make_profile(discipline, n_half=1.0)
     dev = StorageDevice(sim, profile)
     for _ in range(n):
-        dev.submit("read", 10 * MB)
+        submit(dev, "read", 10 * MB)
     sim.run()
     # Piecewise: while k requests remain, the device runs at W(k).
     expected = 0.0
@@ -111,6 +112,6 @@ def test_property_write_cost_scales_latency_linearly(write_cost):
     sim = Simulator()
     dev = StorageDevice(sim, make_profile("fcfs", n_half=0.0,
                                           write_cost=write_cost))
-    ev = dev.submit("write", 10 * MB)
+    ev = submit(dev, "write", 10 * MB)
     sim.run()
     assert ev.value.latency == pytest.approx(0.1 * write_cost)

@@ -23,6 +23,7 @@ import pytest
 from repro.config import HDD_PROFILE, MB, SSD_PROFILE, StorageProfile
 from repro.simcore import Simulator
 from repro.storage import StorageDevice
+from tests.device_events import submit
 
 PROFILES = {
     "hdd_small_flush": replace(HDD_PROFILE, flush_threshold=64 * MB),
@@ -76,7 +77,7 @@ def _drive(profile, f0, f_mid, digest):
         nonlocal peak
         for _ in range(k):
             op = "write" if rng.random() < 0.4 else "read"
-            dev.submit(op, rng.choice(SIZES)).callbacks.append(on_done)
+            submit(dev, op, rng.choice(SIZES)).callbacks.append(on_done)
         peak = max(peak, dev.in_flight)
 
     dev.set_rate_factor(f0)

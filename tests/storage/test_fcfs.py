@@ -5,6 +5,7 @@ import pytest
 from repro.config import MB, StorageProfile
 from repro.simcore import Simulator
 from repro.storage import StorageDevice
+from tests.device_events import submit
 
 FCFS_FLAT = StorageProfile(
     name="fcfs-flat", peak_rate=100.0 * MB, n_half=0.0, discipline="fcfs"
@@ -16,7 +17,7 @@ FCFS_KNEE = StorageProfile(
 
 def _io(sim, dev, op, nbytes):
     def proc():
-        done = yield dev.submit(op, nbytes)
+        done = yield submit(dev, op, nbytes)
         return sim.now, done.latency
 
     return sim.process(proc())
@@ -82,9 +83,9 @@ def test_arrival_after_idle_starts_fresh():
     dev = StorageDevice(sim, FCFS_FLAT)
 
     def proc():
-        yield dev.submit("read", 10 * MB)
+        yield submit(dev, "read", 10 * MB)
         yield sim.timeout(5.0)
-        done = yield dev.submit("read", 10 * MB)
+        done = yield submit(dev, "read", 10 * MB)
         return done.latency
 
     p = sim.process(proc())

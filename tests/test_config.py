@@ -122,3 +122,25 @@ def test_with_storage_swaps_profile():
     cfg = default_cluster().with_storage(SSD_PROFILE)
     assert cfg.storage is SSD_PROFILE
     assert cfg.n_workers == 8
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"nic_bandwidth": 0}, "nic_bandwidth"),
+    ({"nic_bandwidth": _NAN}, "nic_bandwidth"),
+    ({"nic_bandwidth": _INF}, "nic_bandwidth"),
+    ({"read_window": 0}, "read_window"),
+    ({"write_window": 0}, "write_window"),
+    ({"alloc_memory_per_node": 4 * GB}, "alloc_memory_per_node"),
+    ({"yarn": {"reduce_task_memory": 32 * GB}}, "alloc_memory_per_node"),
+    ({"cores_per_node": 1, "yarn": {"reduce_task_vcores": 2}}, "cores_per_node"),
+    ({"yarn": {"map_task_memory": 0}}, "map_task_memory"),
+    ({"yarn": {"reduce_task_memory": -1}}, "reduce_task_memory"),
+    ({"yarn": {"map_task_vcores": 0}}, "map_task_vcores"),
+    ({"yarn": {"reduce_task_vcores": 0}}, "reduce_task_vcores"),
+    ({"yarn": {"dfs_replication": 0}}, "dfs_replication"),
+    ({"yarn": {"dfs_block_size": 0}}, "dfs_block_size"),
+    ({"yarn": {"max_task_attempts": 0}}, "max_task_attempts"),
+])
+def test_cluster_rejects_bad_field_naming_it(data, field):
+    with pytest.raises(ValueError, match=field):
+        ClusterConfig.from_dict(data)
