@@ -234,6 +234,9 @@ class ClusterConfig:
             raise ValueError("block_scale must be in (0, 1]")
         if self.io_chunk <= 0:
             raise ValueError("io_chunk must be positive")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {seed!r}")
         if not 0 < self.nic_bandwidth < _INF:  # also rejects NaN
             raise ValueError(
                 f"nic_bandwidth must be finite and > 0, got {self.nic_bandwidth}")

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 __all__ = [
     "aggregate_service",
     "jain_fairness",
@@ -67,6 +65,8 @@ def proportional_share_error(
 
 def jain_fairness(values: Sequence[float] | Iterable[float]) -> float:
     """Jain's index: 1.0 = perfectly equal, 1/n = maximally unfair."""
+    import numpy as np
+
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("fairness of empty set")

@@ -11,9 +11,8 @@ policies act on (cf. BoPF's per-queue service accounting).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional
-
-import numpy as np
 
 from repro.telemetry import SPAN, Span, TelemetryBus
 
@@ -24,18 +23,62 @@ PERCENTILES = (("p50", 50.0), ("p95", 95.0), ("p99", 99.0))
 
 
 def percentile_summary(samples: "list[float]") -> dict[str, float]:
-    """count/mean/p50/p95/p99 of one sample list (all 0.0 if empty)."""
+    """count/mean/p50/p95/p99 of one sample list (all 0.0 if empty):
+    bit for bit what ``numpy.mean`` and ``numpy.percentile`` return."""
     if not samples:
         return {"count": 0, "mean": 0.0,
                 **{label: 0.0 for label, _q in PERCENTILES}}
-    arr = np.asarray(samples, dtype=float)
-    out: dict[str, Any] = {
-        "count": int(arr.size),
-        "mean": float(arr.mean()),
-    }
+    values = list(map(float, samples))
+    n = len(values)
+    mean = (0.0 + _pairwise_sum(values, 0, n)) / n  # numpy starts at 0.0
+    out: dict[str, Any] = {"count": n, "mean": mean}
+    # A NaN sample makes the mean NaN; numpy sorts it last and reports
+    # it as every percentile.
+    has_nan = mean != mean and any(x != x for x in values)
+    ordered = sorted(values)
     for label, q in PERCENTILES:
-        out[label] = float(np.percentile(arr, q))
+        out[label] = math.nan if has_nan else _percentile(ordered, q)
     return out
+
+
+def _pairwise_sum(values: "list[float]", lo: int, n: int) -> float:
+    """numpy's pairwise sum of ``values[lo:lo + n]``: up to 128 values
+    in eight interleaved partial sums, longer runs halved at a multiple
+    of eight."""
+    if n < 8:
+        res = 0.0  # not sum(): from Python 3.12 it compensates
+        for x in values[lo:lo + n]:
+            res += x
+        return res
+    if n <= 128:
+        r = values[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r = [a + b for a, b in zip(r, values[i:i + 8])]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in values[end:lo + n]:
+            res += x
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(values, lo, n2) + _pairwise_sum(values, lo + n2, n - n2)
+
+
+def _percentile(ordered: "list[float]", q: float) -> float:
+    """numpy's ``linear`` percentile ``q`` of sorted, NaN-free values."""
+    last = len(ordered) - 1
+    index = last * (q / 100)
+    if index >= last:
+        # numpy reads the last value twice, at index -1 (so the weight
+        # is index + 1).
+        lo = hi = -1
+    else:
+        lo = math.floor(index)
+        hi = lo + 1
+    a, b, t = ordered[lo], ordered[hi], index - lo
+    diff = b - a
+    # numpy's _lerp: the form switches at t >= 0.5 to stay monotone.
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 class SpanRecorder:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import pathlib
 
-import numpy as np
-
 from repro.config import (
     GB,
     MB,
@@ -206,6 +204,8 @@ def fig7_depth_adaptation(config: ClusterConfig | None = None) -> ExperimentResu
     period, and the runner's ``depth_trace`` metric reconstructs the
     paper's D and latency traces — no scheduler internals touched.
     """
+    import numpy as np
+
     config = config or default_cluster()
     result = ExperimentResult("fig7_depth_adaptation")
     ctrl = controller_for(config)
@@ -338,6 +338,8 @@ def fig9_facebook(
 ) -> ExperimentResult:
     """Cumulative distribution of Facebook2009 job runtimes: standalone,
     interfered by TeraGen on native, and isolated by SFQ(D2) at 32:1."""
+    import numpy as np
+
     config = config or default_cluster()
     result = ExperimentResult("fig9_facebook")
     cases = [

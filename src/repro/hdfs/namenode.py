@@ -12,9 +12,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.hdfs.blocks import Block, BlockLocations, HdfsFile
+from repro.simcore.rng import PCG64Stream
 
 __all__ = ["NameNode"]
 
@@ -25,7 +24,7 @@ class NameNode:
         datanodes: Sequence[str],
         block_size: int,
         replication: int,
-        rng: np.random.Generator,
+        rng: PCG64Stream,  # or anything with numpy's ``choice``
     ):
         if not datanodes:
             raise ValueError("need at least one datanode")

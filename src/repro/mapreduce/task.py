@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.config import MB
 from repro.dataplane import CancelScope
 from repro.hdfs import DFSClient
@@ -25,6 +23,7 @@ from repro.localfs import LocalFS
 from repro.mapreduce.job import Job, MapOutput
 from repro.net import NetFabric
 from repro.simcore import Resource, Simulator
+from repro.simcore.rng import PCG64Stream
 from repro.telemetry import TelemetryBus
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,7 +43,7 @@ class TaskEnv:
     dfs: DFSClient
     localfs: dict[str, LocalFS]
     net: NetFabric
-    rng: np.random.Generator
+    rng: PCG64Stream  # or anything with numpy's ``uniform``
     telemetry: Optional[TelemetryBus] = None
     faults: Optional["FaultInjector"] = None
 

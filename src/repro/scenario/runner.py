@@ -24,8 +24,6 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional, Union
 
-import numpy as np
-
 from repro.cluster import BigDataCluster
 from repro.config import MB
 from repro.core import canonical_json
@@ -42,7 +40,7 @@ from repro.telemetry import (
     JsonLinesTraceSink,
     TimeSeriesSink,
 )
-from repro.workloads import build_app, facebook2009_trace
+from repro.workloads import build_app
 
 __all__ = ["RunManifest", "ScenarioRunner", "run_scenario"]
 
@@ -192,6 +190,8 @@ class ScenarioRunner:
                 delay=entry.submit_at,
             )
         if entry.app == "swim":
+            from repro.workloads.swim import facebook2009_trace
+
             trace = facebook2009_trace(config, **entry.params)
             jobs = []
             for sj in trace:
@@ -429,6 +429,8 @@ class ScenarioRunner:
                 cluster.broker.message_bytes if cluster.broker else 0.0
             )
         if "device_series" in metrics:
+            import numpy as np
+
             for op in ("read", "write"):
                 agg = np.zeros(max(1, int(np.ceil(end)) + 1))
                 times = np.arange(len(agg), dtype=float)

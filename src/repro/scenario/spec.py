@@ -24,6 +24,7 @@ The spec is pure data; materialising and running it is
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import pathlib
 from dataclasses import dataclass, field, replace
@@ -32,6 +33,7 @@ from typing import Any, Mapping, Optional
 from repro.config import ClusterConfig, known_fields
 from repro.core import NodePolicy, PolicySpec, canonical_json, policy_from_dict
 from repro.faults import FaultPlan
+from repro.hive import TPCH_QUERIES
 from repro.workloads import APP_BUILDERS
 
 __all__ = [
@@ -73,6 +75,41 @@ def _freeze_params(params: Mapping[str, Any]) -> dict[str, Any]:
         return json.loads(canonical_json(dict(params)))
     except TypeError as exc:
         raise ValueError(f"params must be JSON-serialisable: {exc}") from None
+
+
+def _check_params(entry: "JobEntry") -> None:
+    """``params`` must be keywords of the entry's builder (an
+    ``APP_BUILDERS`` function, the Hive query's builder, or the SWIM
+    sampler) and cover the ones without a default, so a typo fails at
+    load rather than mid-run.  ``rng`` is never one: a run draws only
+    from its seeded streams."""
+    extra = set()
+    if entry.app == "hive":
+        query = entry.params["query"]
+        if not isinstance(query, str) or query not in TPCH_QUERIES:
+            raise ValueError(f"entry {entry.key!r}: unknown query {query!r}; "
+                             f"expected one of {sorted(TPCH_QUERIES)}")
+        builder, extra = TPCH_QUERIES[query], {"query"}
+    elif entry.app == "swim":
+        # The sampler draws from numpy's generator: a SWIM scenario
+        # loads numpy here, the non-SWIM ones never do.
+        from repro.workloads.swim import facebook2009_trace as builder
+    else:
+        builder = APP_BUILDERS[entry.app]
+    # Every builder takes the cluster config first.
+    keywords = list(inspect.signature(builder).parameters.values())[1:]
+    accepted = extra | {p.name for p in keywords}
+    accepted.discard("rng")
+    unknown = sorted(set(entry.params) - accepted)
+    if unknown:
+        raise ValueError(
+            f"entry {entry.key!r}: unknown {entry.app} params {unknown}; "
+            f"expected some of {sorted(accepted)}")
+    missing = [p.name for p in keywords
+               if p.default is p.empty and p.name not in entry.params]
+    if missing:
+        raise ValueError(
+            f"entry {entry.key!r}: {entry.app} needs params {missing}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +183,7 @@ class JobEntry:
         if self.app == "hive" and "query" not in self.params:
             raise ValueError("hive entries need params['query']")
         object.__setattr__(self, "params", _freeze_params(self.params))
+        _check_params(self)
 
     @property
     def key(self) -> str:

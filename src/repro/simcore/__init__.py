@@ -20,7 +20,7 @@ from repro.simcore.engine import (
     Simulator,
     Timeout,
 )
-from repro.simcore.instrument import RateMeter, TimeSeries
+from repro.simcore.instrument import RateMeter, TimeSeries, TotalMeter
 from repro.simcore.resources import Gate, Resource
 from repro.simcore.rng import RngRegistry
 
@@ -38,4 +38,5 @@ __all__ = [
     "Simulator",
     "TimeSeries",
     "Timeout",
+    "TotalMeter",
 ]

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import bisect
 
-import numpy as np
-
-__all__ = ["RateMeter", "TimeSeries"]
+__all__ = ["RateMeter", "TimeSeries", "TotalMeter"]
 
 
 class TimeSeries:
@@ -63,6 +61,8 @@ class RateMeter:
 
     def rate_series(self, bucket: float, t_end: float | None = None) -> TimeSeries:
         """Bucketed rate (amount per second) over [0, t_end)."""
+        import numpy as np
+
         if bucket <= 0:
             raise ValueError("bucket must be positive")
         out = TimeSeries(f"rate:{self.name}")
@@ -88,3 +88,17 @@ class RateMeter:
         lo = bisect.bisect_left(self.times, t0)
         hi = bisect.bisect_left(self.times, t1)
         return float(sum(self.amounts[lo:hi]))
+
+
+class TotalMeter:
+    """A :class:`RateMeter` reduced to its running ``total``, for meters
+    whose samples nothing reads (NIC links)."""
+
+    __slots__ = ("name", "total")
+
+    def __init__(self, name: str = ""):
+        self.name = name
+        self.total = 0.0
+
+    def add(self, t: float, amount: float) -> None:
+        self.total += amount

@@ -109,6 +109,7 @@ class StorageDevice:
         profile: StorageProfile,
         name: str = "disk",
         telemetry: Optional[TelemetryBus] = None,
+        meter: type = RateMeter,
     ):
         self.sim = sim
         self.profile = profile
@@ -145,8 +146,10 @@ class StorageDevice:
 
         # Instrumentation (per-request latencies travel as telemetry: the
         # interposed scheduler publishes them in ``request_completed``).
-        self.read_meter = RateMeter(f"{name}:read")
-        self.write_meter = RateMeter(f"{name}:write")
+        # ``meter`` builds the completed-bytes meters: a NIC link passes
+        # ``TotalMeter``, as nothing reads its samples.
+        self.read_meter = meter(f"{name}:read")
+        self.write_meter = meter(f"{name}:write")
         self.completed_requests = 0
 
     # ------------------------------------------------------------------ api

@@ -1,7 +1,10 @@
 """Span accounting: recorder aggregation, trace schema, manifest metric."""
 
 import io
+import math
+import random
 
+import numpy as np
 import pytest
 
 from repro.config import MB, StorageProfile, default_cluster
@@ -14,6 +17,7 @@ from repro.dataplane import (
     SpanRecorder,
     percentile_summary,
 )
+from repro.dataplane.spans import PERCENTILES
 from repro.scenario import Scenario, run_scenario, wc_teragen_isolation
 from repro.simcore import Simulator
 from repro.storage import StorageDevice
@@ -46,6 +50,35 @@ def test_percentile_summary():
     assert s["p50"] == pytest.approx(2.5)
     assert s["p95"] >= s["p50"]
     assert s["p99"] >= s["p95"]
+
+
+def _numpy_summary(samples):
+    arr = np.asarray(samples, dtype=float)
+    return {"count": arr.size, "mean": float(arr.mean()),
+            **{label: float(np.percentile(arr, q))
+               for label, q in PERCENTILES}}
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000, 10000])
+def test_percentile_summary_is_numpys_mean_and_percentiles(n):
+    """Sizes straddle the pairwise sum's 8-value unroll and 128-value
+    blocks; the value mixes put interpolation weights on both sides of
+    numpy's 0.5 switch."""
+    rnd = random.Random(n)
+    for samples in (
+        [rnd.expovariate(1.0) * 10 ** rnd.uniform(-6, 3) for _ in range(n)],
+        [rnd.uniform(-1e6, 1e6) for _ in range(n)],
+        [rnd.choice((0.1, 0.2, 0.3, 1e-9)) for _ in range(n)],
+    ):
+        assert percentile_summary(samples) == _numpy_summary(samples)
+
+
+def test_percentile_summary_of_a_nan_is_nan_like_numpy():
+    samples = [1.0, float("nan"), 2.0]
+    ours, theirs = percentile_summary(samples), _numpy_summary(samples)
+    assert ours["count"] == theirs["count"] == 3
+    for key in ("mean", "p50", "p95", "p99"):
+        assert math.isnan(ours[key]) and math.isnan(theirs[key])
 
 
 def test_recorder_aggregates_by_app_and_class():

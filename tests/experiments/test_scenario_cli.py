@@ -76,6 +76,24 @@ def test_scenario_mode_names_a_bad_cluster_value(capsys, tmp_path):
     assert "read_window must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["cluster"].update(seed=-3),
+     "seed must be a non-negative int, got -3"),
+    (lambda d: d["workload"]["jobs"][0]["params"].update(input_byte=5),
+     "unknown wordcount params ['input_byte']"),
+])
+def test_scenario_mode_rejects_a_bad_value_before_running(capsys, tmp_path,
+                                                           edit, message):
+    data = json.loads((EXAMPLES / "fig6_isolation.json").read_text())
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["scenario", str(path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_serve_mode_rejects_experiment_names():
     with pytest.raises(SystemExit):
         main(["serve", "fig6"])

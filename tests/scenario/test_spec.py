@@ -153,6 +153,28 @@ def test_submit_at_must_be_finite(text):
         JobEntry.from_dict(json.loads(f'{{"app": "teragen", "submit_at": {text}}}'))
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"app": "terasort", "params": {"input_path": "/in", "input_byte": 5}},
+     r"unknown terasort params \['input_byte'\]"),
+    ({"app": "hive", "params": {"query": "q21", "qurey": 1}},
+     r"unknown hive params \['qurey'\]"),
+    ({"app": "hive", "params": {"query": "q7"}}, "unknown query 'q7'"),
+    ({"app": "swim", "params": {"n_jobs": 5, "rng": 1}},
+     r"unknown swim params \['rng'\]"),
+    ({"app": "terasort"}, r"terasort needs params \['input_path'\]"),
+])
+def test_entry_params_must_fit_the_builder(data, message):
+    with pytest.raises(ValueError, match=message):
+        JobEntry.from_dict(data)
+
+
+def test_entry_params_accept_every_builder_keyword():
+    JobEntry(app="terasort", params={"input_path": "/in", "input_bytes": 5,
+                                     "n_reduces": 2, "name": "ts"})
+    JobEntry(app="hive", params={"query": "q9", "tables_path": "/t"})
+    JobEntry(app="swim", params={"n_jobs": 5, "mean_interarrival": 2.0})
+
+
 def test_duplicate_job_keys_rejected():
     with pytest.raises(ValueError):
         WorkloadSpec(jobs=(JobEntry(app="teragen"), JobEntry(app="teragen")))

@@ -146,3 +146,18 @@ def test_process_death_surfaces_as_simulation_error_naming_process():
     cl.sim.process(boom(), name="boomer")
     with pytest.raises(SimulationError, match="boomer.*ValueError.*kaput"):
         cl.run_for(1.0)
+
+
+def test_links_keep_byte_totals_not_samples():
+    """A NIC link's meter is only ever read for its total, so a run
+    leaves no per-leg samples on it (disk meters keep theirs: the rate
+    series and windowed service read them)."""
+    cfg = default_cluster(scale=1.0 / 256)
+    cl = BigDataCluster(cfg, PolicySpec.native())
+    job = cl.submit(teragen(cfg, output_bytes=64 * GB), max_cores=48)
+    cl.run(job.done)
+    links = [*cl.net.egress.values(), *cl.net.ingress.values()]
+    moved = sum(link.read_meter.total for link in links)
+    assert moved == 2 * cl.net.total_bytes > 0  # both legs of each transfer
+    assert not any(hasattr(link.read_meter, "times") for link in links)
+    assert any(meter.times for meter in cl.device_meters("write"))

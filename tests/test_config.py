@@ -140,6 +140,12 @@ def test_with_storage_swaps_profile():
     ({"yarn": {"dfs_replication": 0}}, "dfs_replication"),
     ({"yarn": {"dfs_block_size": 0}}, "dfs_block_size"),
     ({"yarn": {"max_task_attempts": 0}}, "max_task_attempts"),
+    # Only a non-negative int seeds the streams; anything else would be
+    # truncated or fail only once the run starts.
+    ({"seed": 7.9}, "seed"),
+    ({"seed": -3}, "seed"),
+    ({"seed": "12"}, "seed"),
+    ({"seed": True}, "seed"),
 ])
 def test_cluster_rejects_bad_field_naming_it(data, field):
     with pytest.raises(ValueError, match=field):

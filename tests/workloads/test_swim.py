@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import default_cluster
-from repro.workloads import facebook2009_trace
+from repro.workloads.swim import facebook2009_trace
 
 CFG = default_cluster()
 
