@@ -1,6 +1,6 @@
 """Figure 2: I/O demand profiles of TeraSort and WordCount run alone."""
 
-from repro.experiments import fig2_io_profiles
+from repro.experiments.figures import fig2_io_profiles
 
 
 def test_fig2_io_profiles(benchmark, report):

@@ -1,7 +1,7 @@
 """Figure 3: WordCount under contention on native Hadoop (HDD and SSD)."""
 
 from repro.config import SSD_PROFILE, default_cluster
-from repro.experiments import fig3_contention
+from repro.experiments.figures import fig3_contention
 
 
 def test_fig3_contention_hdd(benchmark, report):

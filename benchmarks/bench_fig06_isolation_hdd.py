@@ -1,7 +1,7 @@
 """Figure 6a/6b: performance isolation of WordCount vs TeraGen (HDD):
 native vs SFQ(D=12/8/4/2) vs SFQ(D2), 32:1 sharing ratio."""
 
-from repro.experiments import fig6_isolation_hdd
+from repro.experiments.figures import fig6_isolation_hdd
 
 
 def test_fig6_isolation_hdd(benchmark, report):

@@ -1,7 +1,7 @@
 """Figure 7: SFQ(D2)'s depth adaptation and observed latency over time
 on one datanode (including the write-back flush-storm latency spikes)."""
 
-from repro.experiments import fig7_depth_adaptation
+from repro.experiments.figures import fig7_depth_adaptation
 
 
 def test_fig7_depth_adaptation(benchmark, report):

@@ -1,7 +1,7 @@
 """Figure 8a/8b: the isolation study on the SSD setup, with split
 read/write reference latencies for the SFQ(D2) controller."""
 
-from repro.experiments import fig8_isolation_ssd
+from repro.experiments.figures import fig8_isolation_ssd
 
 
 def test_fig8_isolation_ssd(benchmark, report):

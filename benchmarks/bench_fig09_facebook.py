@@ -1,7 +1,7 @@
 """Figure 9: CDF of Facebook2009 job runtimes — standalone, interfered
 by TeraGen, and isolated by IBIS SFQ(D2) at 32:1."""
 
-from repro.experiments import fig9_facebook
+from repro.experiments.figures import fig9_facebook
 
 
 def test_fig9_facebook(benchmark, report):

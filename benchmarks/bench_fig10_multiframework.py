@@ -1,7 +1,7 @@
 """Figure 10a/10b: TPC-H on Hive vs TeraSort on MapReduce — native,
 cgroups weight 100:1, cgroups throttle, and IBIS 100:1."""
 
-from repro.experiments import fig10_multiframework
+from repro.experiments.figures import fig10_multiframework
 
 
 def test_fig10_multiframework(benchmark, report):

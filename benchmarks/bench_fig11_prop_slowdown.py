@@ -1,7 +1,7 @@
 """Figure 11: proportional (equal) slowdown for TeraSort vs TeraGen —
 CPU-only tuning vs CPU + IBIS I/O tuning."""
 
-from repro.experiments import fig11_proportional_slowdown
+from repro.experiments.figures import fig11_proportional_slowdown
 
 
 def test_fig11_proportional_slowdown(benchmark, report):

@@ -1,7 +1,7 @@
 """Figure 12: distributed scheduling coordination off (No Sync) vs on
 (Sync) — total-service proportional sharing under skewed data placement."""
 
-from repro.experiments import fig12_coordination
+from repro.experiments.figures import fig12_coordination
 
 
 def test_fig12_coordination(benchmark, report):

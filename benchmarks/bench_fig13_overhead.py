@@ -1,6 +1,6 @@
 """Figure 13: runtime overhead of IBIS on standalone WC/TG/TS."""
 
-from repro.experiments import fig13_overhead
+from repro.experiments.figures import fig13_overhead
 
 
 def test_fig13_overhead(benchmark, report):

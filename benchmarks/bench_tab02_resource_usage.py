@@ -1,6 +1,6 @@
 """Table 2: CPU and memory usage of the daemons hosting IBIS."""
 
-from repro.experiments import tab2_resource_usage
+from repro.experiments.figures import tab2_resource_usage
 
 
 def test_tab2_resource_usage(benchmark, report):

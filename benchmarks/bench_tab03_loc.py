@@ -1,6 +1,6 @@
 """Table 3: development cost (lines of code) of the IBIS components."""
 
-from repro.experiments import tab3_loc
+from repro.experiments.figures import tab3_loc
 
 
 def test_tab3_loc(benchmark, report):

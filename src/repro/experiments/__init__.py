@@ -1,49 +1,23 @@
 """Experiment harness: one function per figure/table of the paper's §7.
 
-Each ``fig*``/``tab*`` function builds the clusters, runs the workloads,
-and returns an :class:`~repro.experiments.harness.ExperimentResult`
-whose rows mirror the bars/series the paper reports.  The benchmark
-suite under ``benchmarks/`` drives exactly these functions.
+Each ``fig*``/``tab*`` function in :mod:`repro.experiments.figures`
+builds the clusters, runs the workloads, and returns an
+:class:`~repro.experiments.harness.ExperimentResult` whose rows mirror
+the bars/series the paper reports.  The benchmark suite under
+``benchmarks/`` drives exactly these functions; the worker-pool helpers
+(``parallel_jobs``, ``run_specs``) live in :mod:`repro.execution`.
+
+This package re-exports only the harness and report names, so importing
+it (or :mod:`repro.experiments.harness`) to run one scenario loads
+neither the figure code nor the process pool.
 """
 
-from repro.experiments.figures import (
-    fig2_io_profiles,
-    fig3_contention,
-    fig6_isolation_hdd,
-    fig7_depth_adaptation,
-    fig8_isolation_ssd,
-    fig9_facebook,
-    fig10_multiframework,
-    fig11_proportional_slowdown,
-    fig12_coordination,
-    fig13_overhead,
-    mixed_policy_ablation,
-    tab2_resource_usage,
-    tab3_loc,
-)
-from repro.execution import RunSpec, parallel_jobs, run_specs
 from repro.experiments.harness import ExperimentResult, controller_for
 from repro.experiments.report import format_result, result_payload
 
 __all__ = [
     "ExperimentResult",
-    "RunSpec",
     "controller_for",
-    "parallel_jobs",
-    "result_payload",
-    "run_specs",
-    "fig2_io_profiles",
-    "fig3_contention",
-    "fig6_isolation_hdd",
-    "fig7_depth_adaptation",
-    "fig8_isolation_ssd",
-    "fig9_facebook",
-    "fig10_multiframework",
-    "fig11_proportional_slowdown",
-    "fig12_coordination",
-    "fig13_overhead",
     "format_result",
-    "mixed_policy_ablation",
-    "tab2_resource_usage",
-    "tab3_loc",
+    "result_payload",
 ]

@@ -40,7 +40,7 @@ from repro.telemetry import (
     JsonLinesTraceSink,
     TimeSeriesSink,
 )
-from repro.workloads import build_app
+from repro.workloads import build_app, facebook2009_trace
 
 __all__ = ["RunManifest", "ScenarioRunner", "run_scenario"]
 
@@ -190,8 +190,6 @@ class ScenarioRunner:
                 delay=entry.submit_at,
             )
         if entry.app == "swim":
-            from repro.workloads.swim import facebook2009_trace
-
             trace = facebook2009_trace(config, **entry.params)
             jobs = []
             for sj in trace:

@@ -34,7 +34,7 @@ from repro.config import ClusterConfig, known_fields
 from repro.core import NodePolicy, PolicySpec, canonical_json, policy_from_dict
 from repro.faults import FaultPlan
 from repro.hive import TPCH_QUERIES
-from repro.workloads import APP_BUILDERS
+from repro.workloads import APP_BUILDERS, facebook2009_trace
 
 __all__ = [
     "ENTRY_APPS",
@@ -91,9 +91,7 @@ def _check_params(entry: "JobEntry") -> None:
                              f"expected one of {sorted(TPCH_QUERIES)}")
         builder, extra = TPCH_QUERIES[query], {"query"}
     elif entry.app == "swim":
-        # The sampler draws from numpy's generator: a SWIM scenario
-        # loads numpy here, the non-SWIM ones never do.
-        from repro.workloads.swim import facebook2009_trace as builder
+        builder = facebook2009_trace
     else:
         builder = APP_BUILDERS[entry.app]
     # Every builder takes the cluster config first.

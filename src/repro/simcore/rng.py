@@ -7,8 +7,10 @@ bit-identical regardless of the order in which subsystems are created.
 
 A stream is a pure-Python PCG64 that reproduces
 ``numpy.random.default_rng(seed)`` bit for bit for the draws the
-simulator makes, so a run needs no numpy; ``tests/simcore/test_rng.py``
-checks it against the installed numpy.
+simulator and the SWIM trace make, so a run needs no numpy;
+``tests/simcore/test_rng.py`` checks it against the installed numpy.
+Exponential and normal draws use numpy's 256-layer ziggurat with its
+own tables (:mod:`repro.simcore.ziggurat_tables`).
 """
 
 from __future__ import annotations
@@ -16,10 +18,14 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import struct
+
+from repro.simcore import ziggurat_tables as _zt
 
 __all__ = ["PCG64Stream", "RngRegistry"]
 
 _M32 = 0xFFFFFFFF
+_M52 = 0x000FFFFFFFFFFFFF
 _M64 = 0xFFFFFFFFFFFFFFFF
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -29,6 +35,13 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
+
+# The ziggurat layers: integer acceptance bounds (k), abscissa widths
+# (w) and curve heights (f), exponential then normal.
+KE, WE, FE, KI, WI, FI = (
+    struct.unpack(f"<256{kind}", bytes.fromhex(table))
+    for kind, table in (("Q", _zt.KE), ("d", _zt.WE), ("d", _zt.FE),
+                        ("Q", _zt.KI), ("d", _zt.WI), ("d", _zt.FI)))
 
 
 def _seed_state(seed: int) -> list[int]:
@@ -70,8 +83,9 @@ def _seed_state(seed: int) -> list[int]:
 
 class PCG64Stream:
     """``numpy.random.default_rng(seed)`` for the draws the simulator
-    makes: ``uniform``, ``choice`` without replacement, and ``random``.
-    Each raises where numpy's does."""
+    makes: ``uniform``, ``choice`` without replacement, ``random``,
+    ``exponential``, ``lognormal`` and their standard forms.  Each
+    raises where numpy's does."""
 
     __slots__ = ("_state", "_inc", "_has_uint32", "_uinteger")
 
@@ -130,6 +144,64 @@ class PCG64Stream:
         if math.copysign(1.0, span) < 0:
             raise ValueError("high - low < 0")
         return low + span * self.random()
+
+    def standard_exponential(self) -> float:
+        """An Exp(1) draw: numpy's ziggurat on one 64-bit output (bits
+        3-10 pick the layer, the top 53 the abscissa)."""
+        while True:
+            ri = self._next64() >> 3
+            idx = ri & 0xFF
+            ri >>= 8
+            x = ri * WE[idx]
+            if ri < KE[idx]:
+                return x
+            if idx == 0:  # the tail past r, memoryless: r + Exp(1)
+                return _zt.ZIGGURAT_EXP_R - math.log1p(-self.random())
+            if ((FE[idx - 1] - FE[idx]) * self.random() + FE[idx]
+                    < math.exp(-x)):
+                return x  # under the curve in the layer's wedge
+
+    def standard_normal(self) -> float:
+        """An N(0, 1) draw: numpy's ziggurat on one 64-bit output (bits
+        0-7 pick the layer, bit 8 the sign, the next 52 the abscissa)."""
+        while True:
+            r = self._next64()
+            idx = r & 0xFF
+            r >>= 8
+            rabs = r >> 1 & _M52
+            x = rabs * WI[idx]
+            if r & 1:
+                x = -x
+            if rabs < KI[idx]:
+                return x
+            if idx == 0:  # Marsaglia's tail past r
+                while True:
+                    xx = -_zt.ZIGGURAT_NOR_INV_R * math.log1p(-self.random())
+                    yy = -math.log1p(-self.random())
+                    if yy + yy > xx * xx:
+                        tail = _zt.ZIGGURAT_NOR_R + xx
+                        return -tail if rabs >> 8 & 1 else tail
+            elif ((FI[idx - 1] - FI[idx]) * self.random() + FI[idx]
+                    < math.exp(-0.5 * x * x)):
+                return x  # under the curve in the layer's wedge
+
+    def exponential(self, scale: float = 1.0) -> float:
+        """An exponential draw with mean ``scale``."""
+        scale = float(scale)
+        if not math.isnan(scale) and math.copysign(1.0, scale) < 0:
+            raise ValueError("scale < 0")
+        return scale * self.standard_exponential()
+
+    def lognormal(self, mean: float = 0.0, sigma: float = 1.0) -> float:
+        """``exp`` of a normal draw with ``mean`` and ``sigma``; ``inf``
+        where the exponential overflows, as in C."""
+        mean, sigma = float(mean), float(sigma)
+        if not math.isnan(sigma) and math.copysign(1.0, sigma) < 0:
+            raise ValueError("sigma < 0")
+        try:
+            return math.exp(mean + sigma * self.standard_normal())
+        except OverflowError:
+            return math.inf
 
     def choice(self, a: int, size: int, replace: bool = True) -> list[int]:
         """``size`` distinct integers from ``range(a)``, in random order

@@ -3,9 +3,9 @@
 Every builder takes the cluster configuration and returns a
 :class:`~repro.mapreduce.job.JobSpec` with paper-sized volumes scaled
 down by ``config.scale``.  The SWIM trace sampler,
-:func:`repro.workloads.swim.facebook2009_trace`, is imported from its
-module: it draws from numpy's own generator, which the other builders
-do not need.
+:func:`~repro.workloads.swim.facebook2009_trace`, returns a list of
+timed jobs instead; it draws from a pure-Python
+:class:`~repro.simcore.rng.PCG64Stream`, so no builder needs numpy.
 """
 
 from repro.workloads.apps import (
@@ -16,11 +16,14 @@ from repro.workloads.apps import (
     teravalidate,
     wordcount,
 )
+from repro.workloads.swim import SwimJob, facebook2009_trace
 from repro.workloads.synthetic import io_ramp_job
 
 __all__ = [
     "APP_BUILDERS",
+    "SwimJob",
     "build_app",
+    "facebook2009_trace",
     "io_ramp_job",
     "teragen",
     "terasort",

@@ -12,16 +12,20 @@ similar mix (the substitution is documented in DESIGN.md):
 
 What Fig. 9 measures — the runtime CDF and how contention shifts it —
 depends on this job-size mix, not on the exact trace rows.
+
+The draws come from a :class:`~repro.simcore.rng.PCG64Stream`, whose
+``exponential``/``lognormal``/``uniform`` equal numpy's
+``default_rng`` bit for bit, so sampling the trace needs no numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.config import ClusterConfig, GB, MB
 from repro.mapreduce import JobSpec
+from repro.simcore.rng import PCG64Stream
 
 __all__ = ["SwimJob", "facebook2009_trace"]
 
@@ -39,7 +43,7 @@ def facebook2009_trace(
     config: ClusterConfig,
     n_jobs: int = 50,
     mean_interarrival: float = 4.0,
-    rng: np.random.Generator | None = None,
+    rng: PCG64Stream | None = None,
 ) -> list[SwimJob]:
     """Sample the synthetic Facebook2009 workload.
 
@@ -51,23 +55,24 @@ def facebook2009_trace(
     if mean_interarrival <= 0:
         raise ValueError("mean_interarrival must be positive")
     if rng is None:
-        rng = np.random.default_rng(20090101)
+        rng = PCG64Stream(20090101)
 
     jobs: list[SwimJob] = []
     t = 0.0
     for i in range(n_jobs):
         t += float(rng.exponential(mean_interarrival))
         # Heavy-tailed inputs: median ~2 GB, occasional tens of GB.
-        input_paper = float(rng.lognormal(mean=np.log(2 * GB), sigma=1.3))
-        input_paper = float(np.clip(input_paper, 64 * MB, 60 * GB))
+        input_paper = float(rng.lognormal(mean=math.log(2 * GB), sigma=1.3))
+        input_paper = float(min(max(input_paper, 64 * MB), 60 * GB))
         # Ratios from the paper's quoted ranges (log-uniform).
-        in_to_shuffle = 10 ** rng.uniform(np.log10(0.05), np.log10(1e3))
-        shuffle_to_out = 10 ** rng.uniform(np.log10(2.0**-5), np.log10(1e2))
+        in_to_shuffle = 10 ** rng.uniform(math.log10(0.05), math.log10(1e3))
+        shuffle_to_out = 10 ** rng.uniform(math.log10(2.0**-5),
+                                           math.log10(1e2))
         shuffle_paper = input_paper / in_to_shuffle
         # Bound shuffle so a freak sample cannot dwarf the whole trace.
-        shuffle_paper = float(np.clip(shuffle_paper, 0, 4 * input_paper))
+        shuffle_paper = float(min(max(shuffle_paper, 0), 4 * input_paper))
         output_paper = shuffle_paper / shuffle_to_out
-        output_paper = float(np.clip(output_paper, 0, 2 * input_paper))
+        output_paper = float(min(max(output_paper, 0), 2 * input_paper))
 
         scaled_in = config.scaled(input_paper)
         # Scale without the one-chunk floor: a shuffle smaller than one

@@ -17,7 +17,7 @@ import pathlib
 import pytest
 
 from repro.config import SSD_PROFILE, default_cluster
-from repro.experiments import (
+from repro.experiments.figures import (
     fig2_io_profiles,
     fig3_contention,
     fig6_isolation_hdd,

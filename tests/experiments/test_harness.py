@@ -93,3 +93,13 @@ def test_total_throughput_requires_positive_window():
     cl = BigDataCluster(default_cluster(), PolicySpec.native())
     with pytest.raises(ValueError):
         total_throughput_mbs(cl, 0.0)
+
+
+def test_every_name_in_the_package_all_imports():
+    import repro.experiments as package
+
+    namespace: dict = {}
+    exec("from repro.experiments import *", namespace)
+    assert package.__all__
+    for name in package.__all__:
+        assert namespace[name] is getattr(package, name)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import default_cluster
+from repro.simcore.rng import PCG64Stream
 from repro.workloads.swim import facebook2009_trace
 
 CFG = default_cluster()
@@ -18,10 +19,25 @@ def test_trace_has_requested_jobs_and_monotone_arrivals():
 
 
 def test_trace_is_deterministic_per_rng():
-    a = facebook2009_trace(CFG, n_jobs=20, rng=np.random.default_rng(5))
-    b = facebook2009_trace(CFG, n_jobs=20, rng=np.random.default_rng(5))
+    a = facebook2009_trace(CFG, n_jobs=20, rng=PCG64Stream(5))
+    b = facebook2009_trace(CFG, n_jobs=20, rng=PCG64Stream(5))
     assert [j.spec for j in a] == [j.spec for j in b]
     assert [j.arrival for j in a] == [j.arrival for j in b]
+
+
+@pytest.mark.parametrize("seed,n_jobs", [
+    (20090101, 50), (0, 1), (5, 20), (2**64 - 1, 200), (7, 500)])
+def test_trace_equals_the_one_numpy_samples(seed, n_jobs):
+    ours = facebook2009_trace(CFG, n_jobs=n_jobs, rng=PCG64Stream(seed))
+    theirs = facebook2009_trace(
+        CFG, n_jobs=n_jobs, rng=np.random.default_rng(seed))
+    assert [(j.spec, j.arrival, j.input_bytes) for j in ours] == [
+        (j.spec, j.arrival, j.input_bytes) for j in theirs]
+
+
+def test_default_trace_is_numpys_at_seed_20090101():
+    assert facebook2009_trace(CFG) == facebook2009_trace(
+        CFG, rng=np.random.default_rng(20090101))
 
 
 def test_job_mix_is_diverse():
