@@ -6,11 +6,10 @@ paper's design choices are that a pre-saturation Lref and a healthy
 gain hold the isolation/utilization balance; too-large Lref drifts the
 scheduler toward native behaviour."""
 
-from repro.config import GB, default_cluster
+from repro.config import GB, MB, default_cluster
 from repro.core import PolicySpec
 from repro.cluster import BigDataCluster
 from repro.experiments import ExperimentResult
-from repro.experiments.harness import total_throughput_mbs
 from repro.core.profiling import calibrate_controller
 from repro.workloads import teragen, wordcount
 
@@ -26,7 +25,8 @@ def run_sweep():
                             io_weight=32.0, max_cores=48)
         cluster.submit(teragen(config), io_weight=1.0, max_cores=48)
         cluster.run(wc.done)
-        return wc.runtime, total_throughput_mbs(cluster, wc.finish_time)
+        thr = cluster.windowed_throughput(0.0, wc.finish_time) / MB
+        return wc.runtime, thr
 
     alone_cluster = BigDataCluster(config, PolicySpec.native())
     alone_cluster.preload_input("/in/wiki", 50 * GB)

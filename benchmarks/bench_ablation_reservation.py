@@ -6,11 +6,10 @@ a non-work-conserving reservation scheduler (strict isolation, storage
 underutilized).  This bench measures all three points on the WC+TG
 scenario."""
 
-from repro.config import GB, default_cluster
+from repro.config import GB, MB, default_cluster
 from repro.core import PolicySpec
 from repro.cluster import BigDataCluster
 from repro.experiments import ExperimentResult, controller_for
-from repro.experiments.harness import total_throughput_mbs
 from repro.workloads import teragen, wordcount
 
 
@@ -25,7 +24,7 @@ def run_ablation():
                             io_weight=32.0, max_cores=48)
         cluster.submit(teragen(config), io_weight=1.0, max_cores=48)
         cluster.run(wc.done)
-        return wc, total_throughput_mbs(cluster, wc.finish_time)
+        return wc, cluster.windowed_throughput(0.0, wc.finish_time) / MB
 
     alone_cluster = BigDataCluster(config, PolicySpec.native())
     alone_cluster.preload_input("/in/wiki", 50 * GB)

@@ -216,17 +216,6 @@ class BigDataCluster:
             for sched in node.schedulers.values()
         )
 
-    def cluster_throughput(self, t_end: Optional[float] = None) -> float:
-        """Aggregate storage throughput (bytes/s) over the run."""
-        end = t_end if t_end is not None else self.sim.now
-        if end <= 0:
-            return 0.0
-        total = 0.0
-        for node in self.nodes.values():
-            for dev in (node.hdfs_device, node.tmp_device):
-                total += dev.read_meter.total + dev.write_meter.total
-        return total / end
-
     def windowed_throughput(self, t0: float, t1: float) -> float:
         """Aggregate storage throughput (bytes/s) over [t0, t1) —
         the Fig. 6b/8b accounting, owned by the cluster so experiments

@@ -257,10 +257,6 @@ class ClusterConfig:
                 f"({vcores} vcores), got {self.cores_per_node}")
 
     @property
-    def total_cores(self) -> int:
-        return self.n_workers * self.cores_per_node
-
-    @property
     def sim_block_size(self) -> int:
         """HDFS block size after scaling, never below one I/O chunk."""
         return max(self.io_chunk, int(self.yarn.dfs_block_size * self.block_scale))

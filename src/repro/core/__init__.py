@@ -10,12 +10,14 @@
 * :mod:`repro.core.broker` — Scheduling Broker + DSFQ total-service
   coordination (§5).
 * :mod:`repro.core.cgroups` — the cgroups blkio baseline that can only see
-  intermediate I/Os (§6).
+  intermediate I/Os (§6), and the token-bucket pacer its throttle mode
+  shares with :mod:`repro.core.reservation` (§9's non-work-conserving
+  point).
 * :mod:`repro.core.policy` — :class:`PolicySpec`/:class:`NodePolicy`:
   policy selection as validated, serializable data.
 * :mod:`repro.core.interposition` — per-datanode interposition points
   wiring I/O classes to schedulers and devices (§3).
-* :mod:`repro.core.metrics` — fairness/slowdown metrics used throughout §7.
+* :mod:`repro.core.metrics` — slowdown and service helpers used in §7.
 
 The application-tagged request types (:class:`IOTag`, :class:`IOClass`,
 :class:`IORequest`, §3) are defined in :mod:`repro.dataplane` and exported

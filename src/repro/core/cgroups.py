@@ -7,7 +7,9 @@ YARN extended with cgroups can manage I/O in two modes:
   with the device's natural concurrency (a fixed, generous depth): work
   conserving, shares by weight.
 * **throttle** (``blkio.throttle.*_bps_device``) — an absolute
-  bytes-per-second cap per group, *non*-work-conserving.
+  bytes-per-second cap per group, *non*-work-conserving: a
+  :class:`PacedScheduler`, the token-bucket pacer the §9 reservation
+  scheduler (:mod:`repro.core.reservation`) is built on too.
 
 Crucially, in either mode cgroups sees **only the I/Os a container
 issues directly to the local file system** — the intermediate
@@ -21,6 +23,7 @@ interposition layer falls back to native for the other classes.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -35,7 +38,7 @@ from repro.telemetry import TelemetryBus
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.policy import PolicySpec
 
-__all__ = ["CgroupsThrottleScheduler", "CgroupsWeightScheduler"]
+__all__ = ["CgroupsThrottleScheduler", "CgroupsWeightScheduler", "PacedScheduler"]
 
 
 class CgroupsWeightScheduler(SFQDScheduler):
@@ -67,7 +70,105 @@ class CgroupsWeightScheduler(SFQDScheduler):
         return cls(sim, device, name=name, telemetry=telemetry)
 
 
-class CgroupsThrottleScheduler(IOScheduler):
+class PacedScheduler(IOScheduler):
+    """Per-app token buckets that never lend idle bandwidth: what
+    ``blkio.throttle`` and the §9 reservation scheduler share.
+
+    Subclasses set ``depth`` (requests at the device at once) and
+    :meth:`rate_for` (bytes/s, or ``None`` to send the app's requests
+    straight to the device).  A bucket is charged at release, so an
+    app's next request waits until this one's bytes re-accumulate at its
+    rate, however idle the device.  No ``algorithm``: not a policy.
+    """
+
+    depth: float = math.inf
+
+    def __init__(
+        self,
+        sim: Simulator,
+        device: StorageDevice,
+        name: str = "",
+        telemetry: Optional[TelemetryBus] = None,
+    ):
+        super().__init__(sim, device, name, telemetry=telemetry)
+        self._queues: dict[str, deque[IORequest]] = {}
+        # Time at which each paced app's bucket next allows a dispatch.
+        self._next_allowed: dict[str, float] = {}
+        self._armed: set[str] = set()
+
+    def rate_for(self, app_id: str) -> float | None:
+        raise NotImplementedError
+
+    @staticmethod
+    def _lookup(table: dict[str, float], app_id: str) -> float | None:
+        """Exact app-id match, or match on the job name (application ids
+        are ``appNN-<jobname>``, minted at submission — experiments
+        configure rates by job name)."""
+        value = table.get(app_id)
+        if value is not None:
+            return value
+        _, _, job_name = app_id.partition("-")
+        return table.get(job_name) if job_name else None
+
+    @property
+    def queued(self) -> int:
+        return sum(len(q) for q in self._queues.values())
+
+    def _enqueue(self, req: IORequest) -> None:
+        app = req.app_id
+        if self.rate_for(app) is None:
+            self._dispatch_to_device(req)
+            return
+        if app not in self._queues:
+            self._queues[app] = deque()
+            self._next_allowed[app] = 0.0
+        self._queues[app].append(req)
+        self._pump(app)
+
+    def _remove(self, req: IORequest) -> None:
+        # The token bucket is only charged at release, so withdrawing a
+        # queued request needs no bucket rollback.
+        queue = self._queues.get(req.app_id)
+        if queue is None or req not in queue:
+            raise ValueError(f"{req!r} is not queued at {self.name}")
+        queue.remove(req)
+
+    def _pump(self, app: str) -> None:
+        # A full depth waits for a completion, which pumps every app.
+        if (app in self._armed or not self._queues[app]
+                or self.outstanding >= self.depth):
+            return
+        allowed = self._next_allowed[app]
+        if allowed <= self.sim.now:
+            self._release(app)
+        else:
+            self._armed.add(app)
+            self.sim.call_at(allowed, lambda: self._fire(app))
+
+    def _fire(self, app: str) -> None:
+        # The bucket allows a dispatch now: no second look at the clock.
+        self._armed.discard(app)
+        if self._queues[app] and self.outstanding < self.depth:
+            self._release(app)
+
+    def _release(self, app: str) -> None:
+        req = self._queues[app].popleft()
+        now = self.sim.now
+        # Pay for this request's bytes: the next dispatch waits until the
+        # bucket has re-accumulated them at the app's rate.
+        self._next_allowed[app] = max(self._next_allowed[app], now) + (
+            req.nbytes / self.rate_for(app)
+        )
+        self._dispatch_to_device(req)
+        self._pump(app)
+
+    def _on_complete(self, req: IORequest, done: IOCompletion) -> None:
+        # A freed depth slot may admit any app whose bucket allows it.
+        for app in list(self._queues):
+            self._pump(app)
+
+
+class CgroupsThrottleScheduler(PacedScheduler):
     """``blkio.throttle`` absolute rate caps.
 
     Applications listed in ``rates_bps`` are paced to their cap with a
@@ -94,10 +195,6 @@ class CgroupsThrottleScheduler(IOScheduler):
                 raise ValueError(f"throttle rate for {app!r} must be positive")
         super().__init__(sim, device, name, telemetry=telemetry)
         self.rates_bps = dict(rates_bps)
-        self._queues: dict[str, deque[IORequest]] = {}
-        # Time at which each capped app's bucket next allows a dispatch.
-        self._next_allowed: dict[str, float] = {}
-        self._release_scheduled: set[str] = set()
 
     @classmethod
     def from_spec(cls, sim, device, spec: "PolicySpec", name: str = "",
@@ -106,67 +203,6 @@ class CgroupsThrottleScheduler(IOScheduler):
                    telemetry=telemetry)
 
     def rate_for(self, app_id: str) -> float | None:
-        """Cap for an application: exact app-id match, or match on the
-        job name (application ids are ``appNN-<jobname>``, minted at
-        submission — experiments configure caps by job name)."""
-        rate = self.rates_bps.get(app_id)
-        if rate is not None:
-            return rate
-        _, _, job_name = app_id.partition("-")
-        return self.rates_bps.get(job_name) if job_name else None
-
-    @property
-    def queued(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
-    def _enqueue(self, req: IORequest) -> None:
-        app = req.app_id
-        if self.rate_for(app) is None:
-            self._dispatch_to_device(req)
-            return
-        if app not in self._queues:
-            self._queues[app] = deque()
-            self._next_allowed[app] = 0.0
-        self._queues[app].append(req)
-        self._pump(app)
-
-    def _remove(self, req: IORequest) -> None:
-        # The token bucket is only charged at release, so withdrawing a
-        # queued request needs no bucket rollback.
-        queue = self._queues.get(req.app_id)
-        if queue is None or req not in queue:
-            raise ValueError(f"{req!r} is not queued at {self.name}")
-        queue.remove(req)
-
-    def _pump(self, app: str) -> None:
-        if app in self._release_scheduled:
-            return
-        queue = self._queues[app]
-        if not queue:
-            return
-        now = self.sim.now
-        allowed = self._next_allowed[app]
-        if allowed <= now:
-            self._release(app)
-        else:
-            self._release_scheduled.add(app)
-            self.sim.call_at(allowed, lambda: self._released(app))
-
-    def _released(self, app: str) -> None:
-        self._release_scheduled.discard(app)
-        if self._queues[app]:
-            self._release(app)
-
-    def _release(self, app: str) -> None:
-        req = self._queues[app].popleft()
-        now = self.sim.now
-        # Pay for this request's bytes: the next dispatch waits until the
-        # bucket has re-accumulated them at the capped rate.
-        self._next_allowed[app] = max(self._next_allowed[app], now) + (
-            req.nbytes / self.rate_for(app)
-        )
-        self._dispatch_to_device(req)
-        self._pump(app)
-
-    def _on_complete(self, req: IORequest, done: IOCompletion) -> None:
-        pass  # pacing, not completion, drives dispatch
+        """An application's cap, by app id or job name; ``None`` if it
+        is not capped."""
+        return self._lookup(self.rates_bps, app_id)

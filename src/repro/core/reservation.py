@@ -9,25 +9,25 @@ measured (see ``benchmarks/bench_ablation_reservation.py``).
 
 Each application is reserved a fixed fraction of the device's nominal
 bandwidth, enforced with a token bucket *even when the device is
-otherwise idle*.  Unreserved applications share a configurable leftover
-fraction through plain SFQ tags.
+otherwise idle* (:class:`~repro.core.cgroups.PacedScheduler`, the
+mechanism the cgroups throttle baseline uses too).  Applications
+without a reservation split what the reservations leave over equally,
+each paced by a bucket of its own.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
-from repro.core.base import IOScheduler
-from repro.dataplane.request import IORequest
+from repro.core.cgroups import PacedScheduler
 from repro.simcore import Simulator
-from repro.storage import IOCompletion, StorageDevice
+from repro.storage import StorageDevice
 from repro.telemetry import TelemetryBus
 
 __all__ = ["ReservationScheduler"]
 
 
-class ReservationScheduler(IOScheduler):
+class ReservationScheduler(PacedScheduler):
     """Strict bandwidth reservations per application.
 
     ``reservations`` maps app id (or job name, as in the cgroups
@@ -66,75 +66,16 @@ class ReservationScheduler(IOScheduler):
         self.nominal_rate = float(nominal_rate)
         self.leftover = max(0.0, 1.0 - total)
         self.depth = depth
-        self._queues: dict[str, deque[IORequest]] = {}
-        self._next_allowed: dict[str, float] = {}
-        self._armed: set[str] = set()
 
     def rate_for(self, app_id: str) -> float:
         """The paced byte rate of an application's reservation."""
-        frac = self.reservations.get(app_id)
-        if frac is None:
-            _, _, job_name = app_id.partition("-")
-            frac = self.reservations.get(job_name)
+        frac = self._lookup(self.reservations, app_id)
         if frac is None:
             # Unreserved apps split the leftover equally (at least one
             # share so they are never fully starved of pacing budget).
-            n_unreserved = max(
-                1,
-                len([a for a in self._queues
-                     if self.reservations.get(a) is None]),
-            )
+            n_unreserved = max(1, sum(
+                1 for a in self._queues
+                if self._lookup(self.reservations, a) is None
+            ))
             frac = self.leftover / n_unreserved if self.leftover > 0 else 0.01
         return frac * self.nominal_rate
-
-    @property
-    def queued(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
-    def _enqueue(self, req: IORequest) -> None:
-        app = req.app_id
-        if app not in self._queues:
-            self._queues[app] = deque()
-            self._next_allowed[app] = 0.0
-        self._queues[app].append(req)
-        self._pump(app)
-
-    def _remove(self, req: IORequest) -> None:
-        # Token buckets are only charged at release: no rollback needed.
-        queue = self._queues.get(req.app_id)
-        if queue is None or req not in queue:
-            raise ValueError(f"{req!r} is not queued at {self.name}")
-        queue.remove(req)
-
-    def _on_complete(self, req: IORequest, done: IOCompletion) -> None:
-        # A freed depth slot may admit any app whose bucket allows it.
-        for app in list(self._queues):
-            self._pump(app)
-
-    def _pump(self, app: str) -> None:
-        if app in self._armed:
-            return
-        queue = self._queues.get(app)
-        if not queue or self.outstanding >= self.depth:
-            return
-        now = self.sim.now
-        allowed = self._next_allowed[app]
-        if allowed <= now:
-            self._release(app)
-        else:
-            self._armed.add(app)
-            self.sim.call_at(allowed, lambda: self._disarm(app))
-
-    def _disarm(self, app: str) -> None:
-        self._armed.discard(app)
-        self._pump(app)
-
-    def _release(self, app: str) -> None:
-        req = self._queues[app].popleft()
-        now = self.sim.now
-        self._next_allowed[app] = max(self._next_allowed[app], now) + (
-            req.nbytes / self.rate_for(app)
-        )
-        self._dispatch_to_device(req)
-        # another request of this app may already be admissible
-        self._pump(app)

@@ -8,7 +8,7 @@ The figure functions and the ``run scenario`` CLI (serial, ``--jobs N``,
   scenarios are cache hits and interrupted sweeps resume.  The scenario
   service (:mod:`repro.service`) answers repeats from the same store;
 * :mod:`~repro.execution.pool` — the shared process-pool backend with
-  the by-spec-order determinism guarantee.
+  the in-item-order determinism guarantee.
 
 See DESIGN.md ("Execution core & scenario service").
 """
@@ -21,10 +21,8 @@ from repro.execution.atomic import (
 )
 from repro.execution.core import ExecutionCore
 from repro.execution.pool import (
-    RunSpec,
     active_jobs,
     default_jobs,
-    execute,
     parallel_jobs,
     run_specs,
 )
@@ -41,13 +39,11 @@ __all__ = [
     "ExecutionCore",
     "ResultStore",
     "ResultStoreError",
-    "RunSpec",
     "active_jobs",
     "atomic_write_json",
     "atomic_write_text",
     "cache_dir",
     "default_jobs",
-    "execute",
     "fsync_dir",
     "parallel_jobs",
     "run_specs",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.execution.pool import RunSpec, run_specs
+from repro.execution.pool import run_specs
 from repro.execution.store import ResultStore
 from repro.scenario.runner import RunManifest, run_scenario
 from repro.scenario.spec import Scenario
@@ -68,9 +68,10 @@ class ExecutionCore:
                 first_of[key] = i
             pending.append(i)
 
-        specs = [RunSpec.of(run_scenario, scenarios[i], label=scenarios[i].name)
-                 for i in pending]
-        for i, manifest in zip(pending, run_specs(specs)):
+        # run_scenario is looked up here, at call time, so a test can
+        # patch it on this module.
+        fresh = run_specs(run_scenario, [scenarios[i] for i in pending])
+        for i, manifest in zip(pending, fresh):
             manifests[i] = manifest
             self.executed += 1
             if self.store is not None:

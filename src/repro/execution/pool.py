@@ -9,8 +9,8 @@ one-shot run paths share:
 * **across experiments** — ``python -m repro.experiments.run all
   --jobs N`` submits whole figures to the pool;
 * **within a figure / across a sweep grid** —
-  :class:`~repro.execution.core.ExecutionCore` expresses each scenario
-  as a picklable :class:`RunSpec` and executes batches with
+  :class:`~repro.execution.core.ExecutionCore` maps
+  :func:`~repro.scenario.runner.run_scenario` over its scenarios with
   :func:`run_specs`.
 
 The scenario service (:mod:`repro.service`) does not use this pool: it
@@ -18,7 +18,7 @@ keeps its own warm workers for the life of the process.
 
 Determinism guarantee
 ---------------------
-``run_specs`` merges results **by spec order**, never by completion
+``run_specs`` merges results **in item order**, never by completion
 order, and workers share nothing with each other.  Parallel output is
 therefore identical to serial output — byte for byte once formatted.
 
@@ -35,38 +35,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional
 
-__all__ = ["RunSpec", "execute", "run_specs", "parallel_jobs", "active_jobs",
-           "default_jobs"]
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """A picklable description of one independent simulation run.
-
-    ``fn`` must be a module-level callable (pickled by reference);
-    ``kwargs`` is stored as a sorted tuple of pairs so specs are
-    hashable and their identity is order-insensitive.
-    """
-
-    fn: Callable[..., Any]
-    args: tuple = ()
-    kwargs: tuple = ()
-    label: str = ""
-
-    @classmethod
-    def of(cls, fn: Callable[..., Any], *args: Any, label: str = "",
-           **kwargs: Any) -> "RunSpec":
-        return cls(fn=fn, args=tuple(args),
-                   kwargs=tuple(sorted(kwargs.items())),
-                   label=label or getattr(fn, "__name__", "run"))
-
-
-def execute(spec: RunSpec) -> Any:
-    """Run one spec (this is what worker processes execute)."""
-    return spec.fn(*spec.args, **dict(spec.kwargs))
+__all__ = ["run_specs", "parallel_jobs", "active_jobs", "default_jobs"]
 
 
 # The shared pool: one executor per top-level `parallel_jobs` block,
@@ -107,11 +78,13 @@ def parallel_jobs(jobs: int) -> Iterator[None]:
         pool.shutdown()
 
 
-def run_specs(specs: Sequence[RunSpec]) -> list[Any]:
-    """Execute specs — in parallel when a pool is active — and return
-    their results **in spec order** (the determinism guarantee)."""
-    specs = list(specs)
+def run_specs(fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
+    """``[fn(item) for item in items]`` — in parallel when a pool is
+    active — returned **in item order** (the determinism guarantee).
+    ``fn`` must pickle by reference: a module-level function, or a
+    :func:`functools.partial` of one."""
+    items = list(items)
     pool = _pool if _pool is not None and _pool_pid == os.getpid() else None
-    if pool is None or len(specs) < 2:
-        return [execute(s) for s in specs]
-    return list(pool.map(execute, specs))
+    if pool is None or len(items) < 2:
+        return [fn(item) for item in items]
+    return list(pool.map(fn, items))

@@ -1,25 +1,15 @@
-"""Shared experiment plumbing: result records, cached controllers,
-standard run helpers."""
+"""Shared experiment plumbing: result records and cached controllers."""
 
 from __future__ import annotations
 
-import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
-from repro.cluster import BigDataCluster
-from repro.config import MB, ClusterConfig
-from repro.core import DepthController, NodePolicy, PolicySpec
+from repro.config import ClusterConfig
+from repro.core import DepthController
 from repro.core.profiling import calibrate_controller
-from repro.mapreduce import Job, JobSpec
-from repro.telemetry import JsonLinesTraceSink
 
-__all__ = [
-    "ExperimentResult",
-    "controller_for",
-    "run_single_job",
-    "total_throughput_mbs",
-]
+__all__ = ["ExperimentResult", "controller_for"]
 
 
 @dataclass
@@ -73,46 +63,11 @@ class ExperimentResult:
 _CONTROLLERS: dict[tuple, DepthController] = {}
 
 
-def controller_for(config: ClusterConfig, **kwargs) -> DepthController:
+def controller_for(config: ClusterConfig) -> DepthController:
     """``calibrate_controller``, memoised in this process per storage
-    profile, chunk size and calibration arguments."""
-    key = (config.storage, config.io_chunk, tuple(sorted(kwargs.items())))
+    profile and chunk size (all the calibration reads of ``config``)."""
+    key = (config.storage, config.io_chunk)
     ctrl = _CONTROLLERS.get(key)
     if ctrl is None:
-        ctrl = _CONTROLLERS[key] = calibrate_controller(config, **kwargs)
+        ctrl = _CONTROLLERS[key] = calibrate_controller(config)
     return ctrl
-
-
-def run_single_job(
-    config: ClusterConfig,
-    policy: "PolicySpec | NodePolicy",
-    spec: JobSpec,
-    preloads: dict[str, float],
-    max_cores: Optional[int] = None,
-    io_weight: float = 1.0,
-    trace_path: Optional[pathlib.Path] = None,
-) -> tuple[Job, BigDataCluster]:
-    """Run one job to completion on a fresh cluster.
-
-    With ``trace_path`` set, every telemetry event of the run is
-    exported as one JSON line (see :mod:`repro.telemetry.trace`).
-    """
-    cluster = BigDataCluster(config, policy)
-    for path, size in preloads.items():
-        cluster.preload_input(path, size)
-    trace = (JsonLinesTraceSink(cluster.telemetry, trace_path)
-             if trace_path is not None else None)
-    try:
-        job = cluster.submit(spec, io_weight=io_weight, max_cores=max_cores)
-        cluster.run()
-    finally:
-        if trace is not None:
-            trace.close()
-    return job, cluster
-
-
-def total_throughput_mbs(cluster: BigDataCluster, t_end: float) -> float:
-    """Aggregate storage throughput (MB/s) over [0, t_end) — Fig. 6b/8b."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    return cluster.windowed_throughput(0.0, t_end) / MB

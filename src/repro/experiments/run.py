@@ -65,6 +65,7 @@ worker time; the figure content is byte-identical).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import re
@@ -75,7 +76,6 @@ from repro.config import HDD_PROFILE, SSD_PROFILE, default_cluster
 from repro.execution import (
     ExecutionCore,
     ResultStore,
-    RunSpec,
     default_jobs,
     parallel_jobs,
     run_specs,
@@ -331,8 +331,8 @@ def main(argv: list[str] | None = None) -> int:
                              "result store (every cell re-simulates)")
     parser.add_argument("--address", default="tcp://127.0.0.1:8642",
                         metavar="URL",
-                        help="serve mode: transport address to listen on "
-                             "(tcp://host:port or inproc://name; default "
+                        help="serve mode: tcp://host:port to listen on "
+                             "(port 0 picks a free one; default "
                              "%(default)s)")
     parser.add_argument("--journal", default="auto", metavar="PATH",
                         help="serve mode: submission journal path — 'auto' "
@@ -409,10 +409,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if jobs > 1 and len(names) > 1:
         # Fan out across experiments: one task per figure/table.
-        specs = [RunSpec.of(_timed_experiment, name, config, label=name)
-                 for name in names]
         with parallel_jobs(jobs):
-            outcomes = run_specs(specs)
+            outcomes = run_specs(
+                functools.partial(_timed_experiment, config=config), names)
         for name, (result, elapsed) in zip(names, outcomes):
             _emit(name, result, elapsed, args.out)
     elif args.profile:

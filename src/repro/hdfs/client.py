@@ -64,11 +64,6 @@ class DFSClient:
             yield from self.blocks.write_block(loc, writer_node, tag)
         return f
 
-    # ------------------------------------------------------------- locality
-    def preferred_nodes(self, path: str, block_index: int) -> tuple[str, ...]:
-        """Replica nodes of one block — the AM's locality hint."""
-        return self.namenode.lookup(path).blocks[block_index].replicas
-
     def preload(
         self,
         path: str,

@@ -55,12 +55,6 @@ class NameNode:
     def is_alive(self, node: str) -> bool:
         return node not in self._dead
 
-    @property
-    def alive_datanodes(self) -> list[str]:
-        if not self._dead:
-            return list(self.datanodes)
-        return [n for n in self.datanodes if n not in self._dead]
-
     # ---------------------------------------------------------------- reads
     def lookup(self, path: str) -> HdfsFile:
         try:

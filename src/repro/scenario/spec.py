@@ -268,8 +268,8 @@ class MeasurementSpec:
     * ``window`` — where windowed metrics (throughput, service) stop
       integrating: end of the run, the earliest job finish, or the
       first ``until`` entry's finish.
-    * ``options`` — per-metric parameters (e.g. ``depth_source`` for
-      the depth trace).
+    * ``options`` — per-metric parameters; only ``depth_source``, the
+      scheduler the depth trace follows (default ``dn00:persistent``).
     """
 
     until: tuple[str, ...] = ()
@@ -297,6 +297,14 @@ class MeasurementSpec:
         if self.window == "until_finish" and not self.until:
             raise ValueError("window 'until_finish' needs until entries")
         object.__setattr__(self, "options", _freeze_params(self.options))
+        unknown = sorted(set(self.options) - {"depth_source"})
+        if unknown:
+            raise ValueError(f"unknown measure options {unknown}; "
+                             f"expected some of ['depth_source']")
+        source = self.options.get("depth_source", "")
+        if not isinstance(source, str):
+            raise ValueError(f"measure option depth_source must be a "
+                             f"scheduler name string, got {source!r}")
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"metrics": list(self.metrics)}

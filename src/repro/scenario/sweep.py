@@ -6,7 +6,7 @@ of values — ``cluster.seed=1,2,3`` or
 cartesian grid; each grid point is a full :class:`Scenario` (re-parsed,
 so every variant is validated and hashed independently) whose name is
 suffixed with its coordinates.  The variants are independent runs, so
-the experiment CLI fans them out over the PR-1 worker pool.
+the experiment CLI fans them out over the shared worker pool.
 """
 
 from __future__ import annotations

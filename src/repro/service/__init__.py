@@ -3,8 +3,7 @@ persistent result store.
 
 An async central scheduler
 (:class:`~repro.service.scheduler.SchedulerService`) accepts scenario
-submissions over a transport (:mod:`~repro.service.transport`:
-``inproc://`` for deterministic tests, ``tcp://`` for real clients),
+submissions over ``tcp://host:port`` (:mod:`~repro.service.transport`),
 deduplicates them by content hash, answers repeats from the
 :class:`~repro.execution.store.ResultStore`, batches identical-cluster
 scenarios onto warm workers, and streams manifests — plus, on request,
@@ -19,8 +18,8 @@ in-process::
     from repro.execution import ResultStore
     from repro.service import SchedulerService, ServiceClient
 
-    service = SchedulerService(store=ResultStore.default()).start("inproc://demo")
-    with ServiceClient("inproc://demo") as client:
+    service = SchedulerService(store=ResultStore.default()).start("tcp://127.0.0.1:0")
+    with ServiceClient(service.address) as client:  # the bound port
         manifest = client.run("examples/scenarios/latency_breakdown.json")
     service.stop()
 

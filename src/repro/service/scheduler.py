@@ -1,8 +1,8 @@
 """The long-running scenario scheduler.
 
 One asyncio event loop (running on its own thread once
-:meth:`SchedulerService.start` returns) owns all submission state; both
-transports (:mod:`repro.service.transport`) feed it dict messages.  A
+:meth:`SchedulerService.start` returns) owns all submission state; the
+tcp transport (:mod:`repro.service.transport`) feeds it dict messages.  A
 submission flows::
 
     submit → dedup (content hash) → result-store lookup → admission
@@ -50,7 +50,7 @@ submission flows::
   connection.
 
 ``jobs <= 1`` runs batches on a single warm thread (deterministic, and
-what the in-process tests use); ``jobs > 1`` uses a process pool.  A
+what most tests use); ``jobs > 1`` uses a process pool.  A
 timed-out thread worker is abandoned (its computation cannot be
 killed); a timed-out process worker is terminated — use processes when
 hard isolation matters.
@@ -314,7 +314,7 @@ class SchedulerService:
         if self.jobs > 1:
             return ProcessPoolExecutor(max_workers=self.jobs)
         # One warm thread: deterministic, monkeypatchable — the
-        # in-process test/smoke configuration.
+        # test/smoke configuration.
         return ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-worker"
         )

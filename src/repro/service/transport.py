@@ -1,15 +1,10 @@
-"""Wire protocol and transports: how clients reach the scheduler.
+"""Wire protocol and transport: how clients reach the scheduler.
 
-Messages are JSON objects, each with an ``"op"`` field.  Two transports
-carry them (the comm layer is modelled on Dask's ``distributed``, which
-the ROADMAP names as the reference shape):
-
-* ``inproc://<name>`` — an in-process pipe pair: no sockets, no ports,
-  fully deterministic — what the test suite and the CI smoke job use.
-  The dicts pass through unencoded.
-* ``tcp://<host>:<port>`` — one JSON object per line over a TCP stream
-  (port ``0`` picks a free port; the listener reports the bound
-  address).
+Messages are JSON objects, each with an ``"op"`` field, carried one
+per line over a TCP stream at ``tcp://<host>:<port>`` (port ``0`` picks
+a free port; the listener reports the bound address).  The comm layer
+is modelled on Dask's ``distributed``, which the ROADMAP names as the
+reference shape.
 
 The server side is async (driven by the scheduler's event loop); the
 client side is deliberately synchronous so the thin client works from
@@ -46,7 +41,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import queue
 import socket
 from typing import Any, Awaitable, Callable, Optional
 
@@ -69,11 +63,10 @@ Handler = Callable[[Any], Awaitable[None]]
 class ServiceTimeout(TimeoutError):
     """A client-side ``recv(timeout=...)`` expired with no reply.
 
-    Raised identically by both transports (the tcp socket timeout and
-    the inproc queue timeout both convert to this), so callers handle
-    one exception, not one per transport.  The pending reply is
-    abandoned — after a timeout the channel may be mid-message and
-    should be closed rather than reused.
+    The socket timeout converts to this, so callers handle one
+    service-level exception.  The pending reply is abandoned — after a
+    timeout the channel may be mid-message and should be closed rather
+    than reused.
     """
 
 
@@ -99,126 +92,53 @@ def error_message(exc_or_text: "BaseException | str") -> dict[str, Any]:
     return {"op": "error", "error": str(exc_or_text)}
 
 
-def parse_address(address: str) -> tuple[str, str]:
-    """``scheme://rest`` → ``(scheme, rest)``; the scheme must be
-    ``inproc`` or ``tcp``."""
+def parse_address(address: str) -> tuple[str, int]:
+    """``tcp://host:port`` → ``(host, port)``; ``ValueError`` for
+    anything else."""
     scheme, sep, rest = address.partition("://")
     if not sep or not scheme or not rest:
         raise ValueError(
-            f"transport address must look like scheme://location "
-            f"(tcp://host:port or inproc://name), got {address!r}"
+            f"transport address must look like tcp://host:port, "
+            f"got {address!r}"
         )
-    if scheme not in ("inproc", "tcp"):
+    if scheme != "tcp":
         raise ValueError(
-            f"unknown transport scheme {scheme!r}; use inproc:// or tcp://"
+            f"unknown transport scheme {scheme!r}; use tcp://host:port"
         )
-    return scheme, rest
+    host, _, port = rest.rpartition(":")
+    if not host or not port.isdigit():
+        raise ValueError(f"tcp address needs host:port, got {address!r}")
+    return host, int(port)
 
 
 async def listen(address: str, handler: Handler):
     """Bind ``address`` on the *running* event loop; ``handler`` runs
     once per client connection.  Returns a listener with ``address``
     (the bound one) and ``async close()``."""
-    scheme, rest = parse_address(address)
-    if scheme == "inproc":
-        return _listen_inproc(rest, handler)
-    return await _listen_tcp(rest, handler)
+    host, port = parse_address(address)
+
+    async def on_connect(reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter) -> None:
+        chan = _TcpServerChannel(reader, writer)
+        try:
+            await handler(chan)
+        except asyncio.CancelledError:
+            pass  # the service is stopping; Python 3.11 logs it otherwise
+        finally:
+            await chan.close()
+
+    server = await asyncio.start_server(on_connect, host, port)
+    bound = server.sockets[0].getsockname()
+    return _TcpListener(server, f"tcp://{bound[0]}:{bound[1]}")
 
 
 def connect(address: str):
     """Open a synchronous client channel to a listening scheduler: it
     has ``send(msg)``, ``recv(timeout=None) -> dict`` (raising
     :class:`ServiceTimeout` on expiry) and ``close()``."""
-    scheme, rest = parse_address(address)
-    if scheme == "inproc":
-        return _connect_inproc(rest)
-    host, _, port = rest.rpartition(":")
-    if not host or not port:
-        raise ValueError(f"tcp address needs host:port, got tcp://{rest}")
-    return _TcpClientChannel(socket.create_connection((host, int(port))))
+    return _TcpClientChannel(socket.create_connection(parse_address(address)))
 
 
-# ------------------------------------------------------------------ inproc
-#: name → live in-process listener (one scheduler per name).
-_INPROC: dict[str, "_InProcListener"] = {}
-
-
-class _InProcServerChannel:
-    def __init__(self, loop: asyncio.AbstractEventLoop):
-        self._loop = loop
-        self._to_server: asyncio.Queue = asyncio.Queue()
-        self._to_client: "queue.Queue[dict]" = queue.Queue()
-
-    async def recv(self) -> Optional[dict]:
-        return await self._to_server.get()
-
-    async def send(self, msg: dict) -> None:
-        self._to_client.put(msg)
-
-
-class _InProcClientChannel:
-    def __init__(self, server: _InProcServerChannel):
-        self._server = server
-        self._closed = False
-
-    def send(self, msg: dict) -> None:
-        if self._closed:
-            raise ConnectionError("channel is closed")
-        self._server._loop.call_soon_threadsafe(
-            self._server._to_server.put_nowait, msg
-        )
-
-    def recv(self, timeout: Optional[float] = None) -> dict:
-        try:
-            return self._server._to_client.get(timeout=timeout)
-        except queue.Empty:
-            raise ServiceTimeout(
-                f"no reply from the scheduler within {timeout:g}s "
-                f"(inproc transport)"
-            ) from None
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._server._loop.call_soon_threadsafe(
-            self._server._to_server.put_nowait, None
-        )
-
-
-class _InProcListener:
-    def __init__(self, name: str, handler: Handler,
-                 loop: asyncio.AbstractEventLoop):
-        self.name = name
-        self.address = f"inproc://{name}"
-        self.handler = handler
-        self.loop = loop
-
-    async def close(self) -> None:
-        _INPROC.pop(self.name, None)
-
-
-def _listen_inproc(rest: str, handler: Handler) -> _InProcListener:
-    if rest in _INPROC:
-        raise ValueError(f"inproc://{rest} is already listening")
-    listener = _InProcListener(rest, handler, asyncio.get_running_loop())
-    _INPROC[rest] = listener
-    return listener
-
-
-def _connect_inproc(rest: str) -> _InProcClientChannel:
-    listener = _INPROC.get(rest)
-    if listener is None:
-        raise ConnectionError(
-            f"no scheduler is listening on inproc://{rest} "
-            f"(live: {sorted(_INPROC) or 'none'})"
-        )
-    server = _InProcServerChannel(listener.loop)
-    asyncio.run_coroutine_threadsafe(listener.handler(server), listener.loop)
-    return _InProcClientChannel(server)
-
-
-# --------------------------------------------------------------------- tcp
 class _TcpServerChannel:
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter):
@@ -253,24 +173,6 @@ class _TcpListener:
         await self._server.wait_closed()
 
 
-async def _listen_tcp(rest: str, handler: Handler) -> _TcpListener:
-    host, _, port = rest.rpartition(":")
-    if not host or not port:
-        raise ValueError(f"tcp address needs host:port, got tcp://{rest}")
-
-    async def on_connect(reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
-        chan = _TcpServerChannel(reader, writer)
-        try:
-            await handler(chan)
-        finally:
-            await chan.close()
-
-    server = await asyncio.start_server(on_connect, host, int(port))
-    bound = server.sockets[0].getsockname()
-    return _TcpListener(server, f"tcp://{bound[0]}:{bound[1]}")
-
-
 class _TcpClientChannel:
     def __init__(self, sock: socket.socket):
         self._sock = sock
@@ -287,8 +189,8 @@ class _TcpClientChannel:
         except (socket.timeout, TimeoutError):
             raise ServiceTimeout(
                 f"no reply from the scheduler within {timeout:g}s "
-                f"(tcp transport; the channel may be mid-message — "
-                f"close it rather than reusing it)"
+                f"(the channel may be mid-message — close it rather "
+                f"than reusing it)"
             ) from None
         if not line:
             raise ConnectionError("scheduler closed the connection")

@@ -192,10 +192,6 @@ class StorageDevice:
             self._note_write(nbytes)
         self._reschedule()
 
-    @property
-    def in_storm(self) -> bool:
-        return self.sim.now < self._storm_until
-
     # -------------------------------------------------------------- faults
     @property
     def failed(self) -> bool:

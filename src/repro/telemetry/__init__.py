@@ -7,9 +7,11 @@ everything that used to poke component internals — per-app service
 accounting, throughput meters, the Fig. 7 depth/latency traces, the
 JSON trace export — is a *sink* subscribed to it.
 
-* :mod:`repro.telemetry.events` — the event vocabulary
-  (``request_submitted/dispatched/completed``, ``depth_changed``,
-  ``broker_sync``, ``flush_spike``).
+* :mod:`repro.telemetry.events` — the event vocabulary, 13 kinds
+  (:data:`EVENT_KINDS`): ``request_submitted/dispatched/completed``,
+  ``span``, ``depth_changed``, ``broker_sync``, ``flush_spike``, and
+  the fault kinds ``fault_injected``, ``node_down``, ``node_up``,
+  ``replica_failover``, ``task_retry``, ``broker_outage``.
 * :mod:`repro.telemetry.bus` — scoped publish/subscribe dispatch.
 * :mod:`repro.telemetry.sinks` — time-series recorders, counters.
 * :mod:`repro.telemetry.trace` — JSON-lines export + trace schema.

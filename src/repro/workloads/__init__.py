@@ -17,14 +17,12 @@ from repro.workloads.apps import (
     wordcount,
 )
 from repro.workloads.swim import SwimJob, facebook2009_trace
-from repro.workloads.synthetic import io_ramp_job
 
 __all__ = [
     "APP_BUILDERS",
     "SwimJob",
     "build_app",
     "facebook2009_trace",
-    "io_ramp_job",
     "teragen",
     "terasort",
     "teravalidate",

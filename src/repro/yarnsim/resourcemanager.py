@@ -149,10 +149,6 @@ class ResourceManager:
         self.mem_free[grant.node_id] += grant.memory
         self._allocate()
 
-    @property
-    def total_cores_free(self) -> int:
-        return sum(self.cores_free.values())
-
     # -------------------------------------------------------------- internals
     def _find_node(self, p: _Pending) -> Optional[str]:
         dead = self._dead

@@ -1,16 +1,8 @@
 """Unit tests for performance metrics."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.core.metrics import (
-    aggregate_service,
-    jain_fairness,
-    proportional_share_error,
-    relative_performance,
-    slowdown,
-)
+from repro.core.metrics import aggregate_service, relative_performance, slowdown
 
 
 def test_slowdown_basic():
@@ -27,47 +19,6 @@ def test_relative_performance():
     assert relative_performance(100.0, 100.0) == 1.0
     # Faster than standalone clamps at 1.0 (Fig. 8's SSD anomaly).
     assert relative_performance(90.0, 100.0) == 1.0
-
-
-def test_proportional_share_error_perfect():
-    service = {"a": 320.0, "b": 10.0}
-    weights = {"a": 32.0, "b": 1.0}
-    assert proportional_share_error(service, weights) == pytest.approx(0.0)
-
-
-def test_proportional_share_error_skewed():
-    service = {"a": 50.0, "b": 50.0}
-    weights = {"a": 3.0, "b": 1.0}
-    # assigned a-share 0.75, observed 0.5 -> error 0.25
-    assert proportional_share_error(service, weights) == pytest.approx(0.25)
-
-
-def test_proportional_share_error_missing_app_counts_as_zero():
-    err = proportional_share_error({"a": 10.0}, {"a": 1.0, "b": 1.0})
-    assert err == pytest.approx(0.5)
-
-
-def test_proportional_share_error_validation():
-    with pytest.raises(ValueError):
-        proportional_share_error({}, {})
-    with pytest.raises(ValueError):
-        proportional_share_error({"x": 0.0}, {"x": 1.0})
-
-
-def test_jain_fairness_bounds():
-    assert jain_fairness([5, 5, 5]) == pytest.approx(1.0)
-    assert jain_fairness([1, 0, 0, 0]) == pytest.approx(0.25)
-    assert jain_fairness([0.0, 0.0]) == 1.0
-    with pytest.raises(ValueError):
-        jain_fairness([])
-    with pytest.raises(ValueError):
-        jain_fairness([-1.0, 1.0])
-
-
-@given(st.lists(st.floats(min_value=0.001, max_value=1e6), min_size=1, max_size=30))
-def test_property_jain_in_unit_interval(values):
-    f = jain_fairness(values)
-    assert 1.0 / len(values) - 1e-9 <= f <= 1.0 + 1e-9
 
 
 def test_aggregate_service_sums_across_schedulers():

@@ -83,6 +83,14 @@ def test_job_name_matching_like_cgroups():
     assert sched.rate_for("terasort") == pytest.approx(50.0 * MB)
 
 
+def test_apps_reserved_by_job_name_leave_the_leftover_to_the_rest():
+    sim, dev, sched = make({"vip": 0.5})
+    submit(sim, sched, "app01-vip")
+    submit(sim, sched, "bg")
+    # bg is the only unreserved app, so the whole 50% leftover is its.
+    assert sched.rate_for("bg") == pytest.approx(50.0 * MB)
+
+
 def test_depth_limit_respected():
     sim, dev, sched = make({"a": 1.0}, depth=2)
     for _ in range(10):

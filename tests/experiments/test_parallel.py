@@ -1,50 +1,32 @@
 """Tests for the parallel fan-out subsystem."""
 
-import pickle
+import functools
 
 from repro.config import default_cluster
-from repro.execution.pool import (
-    RunSpec,
-    active_jobs,
-    execute,
-    parallel_jobs,
-    run_specs,
-)
+from repro.execution.pool import active_jobs, parallel_jobs, run_specs
 from repro.experiments import figures
 from repro.experiments.report import result_payload
 
 
 def _square(x, offset=0):
-    """Module-level on purpose: RunSpec functions are pickled by reference."""
+    """Module-level on purpose: pool functions are pickled by reference."""
     return x * x + offset
 
 
-# ---------------------------------------------------------------- RunSpec
-def test_runspec_pickle_roundtrip():
-    spec = RunSpec.of(_square, 3, offset=1, label="sq")
-    clone = pickle.loads(pickle.dumps(spec))
-    assert clone == spec
-    assert execute(clone) == 10
-
-
-def test_runspec_kwargs_order_insensitive():
-    a = RunSpec.of(_square, 1, offset=2)
-    b = RunSpec(fn=_square, args=(1,), kwargs=(("offset", 2),), label="_square")
-    assert a == b
-
-
+# -------------------------------------------------------------- run_specs
 def test_run_specs_serial_without_pool():
     assert active_jobs() == 1
-    assert run_specs([RunSpec.of(_square, i) for i in range(5)]) == \
-        [0, 1, 4, 9, 16]
+    assert run_specs(_square, range(5)) == [0, 1, 4, 9, 16]
 
 
 def test_run_specs_parallel_matches_serial_in_order():
-    specs = [RunSpec.of(_square, i, offset=i) for i in range(8)]
-    serial = run_specs(specs)
+    # A partial of a module-level function pickles too.
+    fn = functools.partial(_square, offset=3)
+    serial = run_specs(fn, range(8))
+    assert serial == [i * i + 3 for i in range(8)]
     with parallel_jobs(2):
         assert active_jobs() == 2
-        parallel = run_specs(specs)
+        parallel = run_specs(fn, range(8))
     assert active_jobs() == 1
     assert parallel == serial
 

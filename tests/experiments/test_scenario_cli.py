@@ -65,6 +65,17 @@ def test_scenario_mode_names_a_nested_typo(capsys, tmp_path):
     assert "unknown YarnConfig fields: ['heartbeat']" in capsys.readouterr().err
 
 
+def test_scenario_mode_names_an_unknown_measure_option(capsys, tmp_path):
+    data = json.loads((EXAMPLES / "fig6_isolation.json").read_text())
+    data["measure"]["options"] = {"depth_sorce": "dn01:persistent"}
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["scenario", str(path)])
+    assert exc.value.code == 2
+    assert "unknown measure options ['depth_sorce']" in capsys.readouterr().err
+
+
 def test_scenario_mode_names_a_bad_cluster_value(capsys, tmp_path):
     data = json.loads((EXAMPLES / "fig6_isolation.json").read_text())
     data["cluster"]["read_window"] = 0

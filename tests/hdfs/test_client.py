@@ -64,14 +64,6 @@ def test_read_missing_file_raises():
         cl.sim.run()
 
 
-def test_preferred_nodes_reports_replicas():
-    cl = make_cluster()
-    cl.dfs.preload("/f", 16 * MB)
-    nodes = cl.dfs.preferred_nodes("/f", 0)
-    assert len(nodes) == 3
-    assert all(n in cl.nodes for n in nodes)
-
-
 def test_preload_consumes_no_simulated_io():
     cl = make_cluster()
     cl.dfs.preload("/f", 160 * MB)

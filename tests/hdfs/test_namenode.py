@@ -131,12 +131,10 @@ def test_dead_node_excluded_from_placement():
     nn = make_nn()
     nn.node_down("dn3")
     assert not nn.is_alive("dn3")
-    assert nn.alive_datanodes == [n for n in NODES if n != "dn3"]
     for _ in range(20):
         assert "dn3" not in nn.place_replicas()
     nn.node_up("dn3")
     assert nn.is_alive("dn3")
-    assert nn.alive_datanodes == NODES
 
 
 def test_node_down_unknown_rejected():

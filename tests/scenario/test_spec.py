@@ -136,6 +136,19 @@ def test_nested_unknown_field_names_the_key(path, key, owner):
         load_scenario(d)
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"depth_sorce": "dn01:persistent"},
+     r"unknown measure options \['depth_sorce'\]"),
+    ({"depth_source": 1}, "depth_source must be a scheduler name string"),
+], ids=["unknown-key", "non-string-source"])
+def test_measure_options_are_checked(options, message):
+    d = _scenario().to_dict()
+    d["measure"]["options"] = options
+    with pytest.raises(ValueError, match=message):
+        load_scenario(d)
+    assert MeasurementSpec(options={"depth_source": "dn01:persistent"})
+
+
 def test_until_must_reference_a_job():
     with pytest.raises(KeyError):
         Scenario(

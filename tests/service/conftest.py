@@ -1,4 +1,3 @@
-import itertools
 import pathlib
 
 import pytest
@@ -13,7 +12,9 @@ EXAMPLES = (
     pathlib.Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 )
 
-_names = itertools.count()
+#: Every test service binds a free local port; clients connect to the
+#: bound ``service.address``.
+ANY_PORT = "tcp://127.0.0.1:0"
 
 
 @pytest.fixture(autouse=True)
@@ -36,21 +37,15 @@ def tiny_scenario():
 
 
 @pytest.fixture
-def inproc_address():
-    """A unique inproc:// name per test (the registry is global)."""
-    return f"inproc://test-{next(_names)}"
-
-
-@pytest.fixture
-def service(tmp_path, inproc_address):
+def service(tmp_path):
     """A started scheduler (warm single thread, persistent store) plus a
     factory for clients against it; everything torn down afterwards."""
     svc = SchedulerService(store=ResultStore(tmp_path / "results"))
-    svc.start(inproc_address)
+    svc.start(ANY_PORT)
     clients = []
 
     def client() -> ServiceClient:
-        c = ServiceClient(inproc_address)
+        c = ServiceClient(svc.address)
         clients.append(c)
         return c
 

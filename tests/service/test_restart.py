@@ -9,12 +9,14 @@ from repro.execution import ResultStore
 from repro.scenario import run_scenario
 from repro.service import SchedulerService, ServiceClient, SubmissionJournal
 
+from .conftest import ANY_PORT
 
-def _start(tmp_path, address):
+
+def _start(tmp_path):
     return SchedulerService(
         store=ResultStore(tmp_path / "results"),
         journal=str(tmp_path / "journal.jsonl"),
-    ).start(address)
+    ).start(ANY_PORT)
 
 
 def _wait(predicate, timeout=30.0):
@@ -40,11 +42,11 @@ def _stall_on(monkeypatch, name):
 
 
 def test_ids_continue_past_compaction_and_old_ids_keep_their_scenario(
-    tmp_path, inproc_address, tiny_scenario
+    tmp_path, tiny_scenario
 ):
-    svc = _start(tmp_path, inproc_address)
+    svc = _start(tmp_path)
     try:
-        with ServiceClient(inproc_address) as client:
+        with ServiceClient(svc.address) as client:
             old = {client.submit(tiny_scenario(name=f"old-{i}")): f"old-{i}"
                    for i in range(3)}
             for sub in old:
@@ -54,9 +56,9 @@ def test_ids_continue_past_compaction_and_old_ids_keep_their_scenario(
     # Everything finished, so the journal compacted to its header.
     assert len((tmp_path / "journal.jsonl").read_text().splitlines()) == 1
 
-    svc = _start(tmp_path, inproc_address + "-2")
+    svc = _start(tmp_path)
     try:
-        with ServiceClient(inproc_address + "-2") as client:
+        with ServiceClient(svc.address) as client:
             new = client.submit(tiny_scenario(name="new"))
             assert new > max(old)
             for sub, name in old.items():
@@ -72,14 +74,14 @@ def test_ids_continue_past_compaction_and_old_ids_keep_their_scenario(
 
 
 def test_alias_store_hit_and_streamed_ids_resolve_after_restart(
-    tmp_path, inproc_address, tiny_scenario, monkeypatch
+    tmp_path, tiny_scenario, monkeypatch
 ):
     ResultStore(tmp_path / "results").put(
         run_scenario(tiny_scenario(name="stored"))
     )
-    svc = _start(tmp_path, inproc_address)
+    svc = _start(tmp_path)
     try:
-        with ServiceClient(inproc_address) as client:
+        with ServiceClient(svc.address) as client:
             streamed = client.submit(tiny_scenario(name="streamed"),
                                      stream=True)
             client.result(streamed)
@@ -93,9 +95,9 @@ def test_alias_store_hit_and_streamed_ids_resolve_after_restart(
         svc.stop()  # the primary (and so its alias) is still running
         release.set()
 
-    svc = _start(tmp_path, inproc_address + "-2")
+    svc = _start(tmp_path)
     try:
-        with ServiceClient(inproc_address + "-2") as client:
+        with ServiceClient(svc.address) as client:
             assert client.stats()["recovered"] == 1
             expected = {
                 primary: "primary", alias: "primary",
@@ -114,7 +116,7 @@ def test_alias_store_hit_and_streamed_ids_resolve_after_restart(
 
 
 def test_recovered_submission_reports_journaled_attempts(
-    tmp_path, inproc_address, tiny_scenario, monkeypatch
+    tmp_path, tiny_scenario, monkeypatch
 ):
     real = scheduler_mod.run_batch
     release = threading.Event()
@@ -128,9 +130,9 @@ def test_recovered_submission_reports_journaled_attempts(
         return real(payloads)
 
     monkeypatch.setattr(scheduler_mod, "run_batch", flaky)
-    svc = _start(tmp_path, inproc_address)
+    svc = _start(tmp_path)
     try:
-        with ServiceClient(inproc_address) as client:
+        with ServiceClient(svc.address) as client:
             sub = client.submit(tiny_scenario())
             _wait(lambda: len(calls) == 2)
             assert client.status(sub)["attempts"] == 2
@@ -139,9 +141,9 @@ def test_recovered_submission_reports_journaled_attempts(
         release.set()
 
     monkeypatch.setattr(scheduler_mod, "run_batch", real)
-    svc = _start(tmp_path, inproc_address + "-2")
+    svc = _start(tmp_path)
     try:
-        with ServiceClient(inproc_address + "-2") as client:
+        with ServiceClient(svc.address) as client:
             client.result(sub)
             # Two attempts before the stop, the third after it.
             assert client.status(sub)["attempts"] == 3
@@ -150,13 +152,13 @@ def test_recovered_submission_reports_journaled_attempts(
 
 
 def test_old_failed_and_evicted_ids_report_failed_after_restart(
-    tmp_path, inproc_address, tiny_scenario
+    tmp_path, tiny_scenario
 ):
     bad = tiny_scenario(name="bad").to_dict()
     bad["workload"]["preloads"] = []  # parses, but the app dies at run
-    svc = _start(tmp_path, inproc_address)
+    svc = _start(tmp_path)
     try:
-        with ServiceClient(inproc_address) as client:
+        with ServiceClient(svc.address) as client:
             failed = client.submit(bad)
             good = client.submit(tiny_scenario(name="good"))
             client.result(good)
@@ -168,9 +170,9 @@ def test_old_failed_and_evicted_ids_report_failed_after_restart(
         tiny_scenario(name="good").content_hash()
     )
 
-    svc = _start(tmp_path, inproc_address + "-2")
+    svc = _start(tmp_path)
     try:
-        with ServiceClient(inproc_address + "-2") as client:
+        with ServiceClient(svc.address) as client:
             status = client.status(failed)
             assert status["state"] == "failed" and status["error"] == error
             status = client.status(good)
@@ -181,12 +183,12 @@ def test_old_failed_and_evicted_ids_report_failed_after_restart(
 
 
 def test_torn_journal_tail_survives_two_restarts(
-    tmp_path, inproc_address, tiny_scenario
+    tmp_path, tiny_scenario
 ):
     path = tmp_path / "journal.jsonl"
-    svc = _start(tmp_path, inproc_address)
+    svc = _start(tmp_path)
     try:
-        with ServiceClient(inproc_address) as client:
+        with ServiceClient(svc.address) as client:
             first = client.submit(tiny_scenario(name="first"))
             client.result(first)
     finally:
@@ -195,10 +197,9 @@ def test_torn_journal_tail_survives_two_restarts(
         fh.write('{"kind": "submit", "sub_id": "sub-0000')  # crash mid-append
 
     for n in (2, 3):
-        address = f"{inproc_address}-{n}"
-        svc = _start(tmp_path, address)
+        svc = _start(tmp_path)
         try:
-            with ServiceClient(address) as client:
+            with ServiceClient(svc.address) as client:
                 subs = [client.submit(tiny_scenario(name=f"r{n}-{i}"))
                         for i in range(2)]
                 for sub in (first, *subs):

@@ -19,6 +19,8 @@ from repro.service import (
     backoff,
 )
 
+from .conftest import ANY_PORT
+
 
 def _names(payloads):
     return [Scenario.from_json(text).name for text, _stream in payloads]
@@ -40,7 +42,7 @@ def _no_worker_threads():
 
 # ------------------------------------------------------------ quarantine
 def test_crashing_submission_quarantined_siblings_complete(
-    tmp_path, inproc_address, tiny_scenario, monkeypatch
+    tmp_path, tiny_scenario, monkeypatch
 ):
     """A worker-crashing submission is retried with backoff, isolated
     from its batch, and quarantined once its retries are spent — while
@@ -63,9 +65,9 @@ def test_crashing_submission_quarantined_siblings_complete(
     monkeypatch.setattr(scheduler_mod, "run_batch", crashing)
     svc = SchedulerService(
         store=ResultStore(tmp_path / "results"), retries=2
-    ).start(inproc_address)
+    ).start(ANY_PORT)
     try:
-        with ServiceClient(inproc_address) as client:
+        with ServiceClient(svc.address) as client:
             blocker = client.submit(tiny_scenario(name="blocker"))
             poison = client.submit(tiny_scenario(name="poison"))
             good = client.submit(tiny_scenario(name="good"))
@@ -111,7 +113,7 @@ def test_crashing_submission_quarantined_siblings_complete(
 
 
 def test_wedged_worker_times_out_and_is_replaced(
-    tmp_path, inproc_address, tiny_scenario, monkeypatch
+    tmp_path, tiny_scenario, monkeypatch
 ):
     """A batch exceeding the timeout is retried on a fresh worker; the
     wedged one is abandoned instead of wedging the wave."""
@@ -130,9 +132,9 @@ def test_wedged_worker_times_out_and_is_replaced(
     monkeypatch.setattr(scheduler_mod, "run_batch", wedging)
     svc = SchedulerService(
         store=ResultStore(tmp_path / "results"), retries=1, timeout=0.25
-    ).start(inproc_address)
+    ).start(ANY_PORT)
     try:
-        with ServiceClient(inproc_address) as client:
+        with ServiceClient(svc.address) as client:
             sub = client.submit(tiny_scenario())
             manifest = client.result(sub)
             assert manifest.metrics_hash() == run_scenario(
@@ -152,7 +154,7 @@ def test_wedged_worker_times_out_and_is_replaced(
 
 # ---------------------------------------------------------- back-pressure
 def test_bounded_queue_rejects_with_busy(
-    tmp_path, inproc_address, tiny_scenario, monkeypatch
+    tmp_path, tiny_scenario, monkeypatch
 ):
     import repro.service.scheduler as scheduler_mod
 
@@ -166,9 +168,9 @@ def test_bounded_queue_rejects_with_busy(
     monkeypatch.setattr(scheduler_mod, "run_batch", stalled)
     svc = SchedulerService(
         store=ResultStore(tmp_path / "results"), max_queue=1
-    ).start(inproc_address)
+    ).start(ANY_PORT)
     try:
-        with ServiceClient(inproc_address) as client:
+        with ServiceClient(svc.address) as client:
             running = client.submit(tiny_scenario(name="running"))
             queued = client.submit(tiny_scenario(name="queued"))
             # The queue is at its bound: an immediate re-offer fails...
@@ -191,7 +193,7 @@ def test_bounded_queue_rejects_with_busy(
 
 
 def test_fair_queuing_interleaves_competing_clients(
-    tmp_path, inproc_address, tiny_scenario, monkeypatch
+    tmp_path, tiny_scenario, monkeypatch
 ):
     """Start-tag fair queuing at the front door: a client that queued
     three submissions cannot starve a client that queued one — the
@@ -212,10 +214,10 @@ def test_fair_queuing_interleaves_competing_clients(
     monkeypatch.setattr(scheduler_mod, "run_batch", recording)
     svc = SchedulerService(
         store=ResultStore(tmp_path / "results")
-    ).start(inproc_address)
+    ).start(ANY_PORT)
     try:
-        with ServiceClient(inproc_address) as alice, \
-                ServiceClient(inproc_address) as bob:
+        with ServiceClient(svc.address) as alice, \
+                ServiceClient(svc.address) as bob:
             subs = [alice.submit(tiny_scenario(name="a1"))]
             subs += [alice.submit(tiny_scenario(name=n))
                      for n in ("a2", "a3")]
@@ -235,7 +237,7 @@ def test_fair_queuing_interleaves_competing_clients(
 
 # ------------------------------------------------------- journal recovery
 def test_stop_mid_drain_recovers_via_journal(
-    tmp_path, inproc_address, tiny_scenario, monkeypatch
+    tmp_path, tiny_scenario, monkeypatch
 ):
     """The satellite contract for ``stop()`` mid-drain: queued and
     running submissions stay journaled as incomplete, worker threads
@@ -255,9 +257,9 @@ def test_stop_mid_drain_recovers_via_journal(
     store_root = tmp_path / "results"
     svc = SchedulerService(
         store=ResultStore(store_root), journal=str(journal_path)
-    ).start(inproc_address)
+    ).start(ANY_PORT)
     subs = []
-    with ServiceClient(inproc_address) as client:
+    with ServiceClient(svc.address) as client:
         for i in range(3):
             subs.append(client.submit(tiny_scenario(name=f"scn-{i}")))
     svc.stop()  # one running (stalled), two queued — none finished
@@ -271,9 +273,9 @@ def test_stop_mid_drain_recovers_via_journal(
 
     svc = SchedulerService(
         store=ResultStore(store_root), journal=str(journal_path)
-    ).start(inproc_address + "-2")
+    ).start(ANY_PORT)
     try:
-        with ServiceClient(inproc_address + "-2") as client:
+        with ServiceClient(svc.address) as client:
             assert client.stats()["recovered"] == 3
             # The journaled sub ids survive the restart.
             for i, sub in enumerate(subs):
@@ -291,7 +293,7 @@ def test_stop_mid_drain_recovers_via_journal(
 
 
 def test_recovery_answers_already_stored_results_from_store(
-    tmp_path, inproc_address, tiny_scenario
+    tmp_path, tiny_scenario
 ):
     """A submission that finished executing but crashed before its
     ``done`` append replays as incomplete — and is answered from the
@@ -312,9 +314,9 @@ def test_recovery_answers_already_stored_results_from_store(
 
     svc = SchedulerService(
         store=ResultStore(store_root), journal=str(journal_path)
-    ).start(inproc_address)
+    ).start(ANY_PORT)
     try:
-        with ServiceClient(inproc_address) as client:
+        with ServiceClient(svc.address) as client:
             stats = client.stats()
             assert stats["recovered"] == 1
             assert stats["cache_hits"] == 1
@@ -330,7 +332,7 @@ def test_recovery_answers_already_stored_results_from_store(
         svc.stop()
 
 
-def test_corrupt_journal_fails_start_loudly(tmp_path, inproc_address):
+def test_corrupt_journal_fails_start_loudly(tmp_path):
     journal_path = tmp_path / "journal.jsonl"
     journal_path.write_text(
         '{"kind": "journal", "schema": 999}\n'
@@ -338,19 +340,19 @@ def test_corrupt_journal_fails_start_loudly(tmp_path, inproc_address):
     from repro.service import JournalError
 
     with pytest.raises(JournalError, match="schema"):
-        SchedulerService(journal=str(journal_path)).start(inproc_address)
+        SchedulerService(journal=str(journal_path)).start(ANY_PORT)
 
 
 # --------------------------------------------------------- stats plumbing
 def test_corrupt_store_entry_surfaces_in_stats(
-    tmp_path, inproc_address, tiny_scenario
+    tmp_path, tiny_scenario
 ):
     """Satellite: a corrupt store entry is no longer a *silent* miss —
     the scheduler's stats op reports the counter."""
     store_root = tmp_path / "results"
-    svc = SchedulerService(store=ResultStore(store_root)).start(inproc_address)
+    svc = SchedulerService(store=ResultStore(store_root)).start(ANY_PORT)
     try:
-        with ServiceClient(inproc_address) as client:
+        with ServiceClient(svc.address) as client:
             client.run(tiny_scenario())
     finally:
         svc.stop()
@@ -359,9 +361,9 @@ def test_corrupt_store_entry_surfaces_in_stats(
     store = ResultStore(store_root)
     path = store.path_for(tiny_scenario().content_hash())
     path.write_text("{torn")
-    svc = SchedulerService(store=store).start(inproc_address + "-2")
+    svc = SchedulerService(store=store).start(ANY_PORT)
     try:
-        with ServiceClient(inproc_address + "-2") as client:
+        with ServiceClient(svc.address) as client:
             client.run(tiny_scenario())  # miss → re-executes
             stats = client.stats()
             assert stats["store_corrupt"] == 1
@@ -372,7 +374,7 @@ def test_corrupt_store_entry_surfaces_in_stats(
 
 # -------------------------------------------------------- store budgeting
 def test_scheduler_evicts_store_over_byte_budget(
-    tmp_path, inproc_address, tiny_scenario
+    tmp_path, tiny_scenario
 ):
     # A budget with room for two of the four equal-sized manifests.
     probe = ResultStore(tmp_path / "probe")
@@ -380,9 +382,9 @@ def test_scheduler_evicts_store_over_byte_budget(
     svc = SchedulerService(
         store=ResultStore(tmp_path / "results"),
         store_max_bytes=int(2.5 * probe.size_bytes()),
-    ).start(inproc_address)
+    ).start(ANY_PORT)
     try:
-        with ServiceClient(inproc_address) as client:
+        with ServiceClient(svc.address) as client:
             for i in range(4):
                 client.result(client.submit(tiny_scenario(name=f"e{i}")))
             stats = client.stats()

@@ -1,4 +1,6 @@
-"""Scheduler end-to-end over the in-process transport."""
+"""Scheduler end-to-end over a local tcp socket."""
+
+import logging
 
 import pytest
 
@@ -7,7 +9,7 @@ from repro.scenario import load_scenario, run_scenario
 from repro.service import SchedulerService, ServiceClient, ServiceError
 from repro.telemetry.trace import validate_trace_record
 
-from .conftest import EXAMPLES
+from .conftest import ANY_PORT, EXAMPLES
 
 
 def test_run_matches_direct_run_scenario(service, tiny_scenario):
@@ -41,23 +43,21 @@ def test_second_submission_served_from_store(service, tiny_scenario):
 
 
 def test_fresh_scheduler_answers_from_warm_store(
-    tmp_path, inproc_address, tiny_scenario
+    tmp_path, tiny_scenario
 ):
     """Restart survival: a brand-new scheduler over an existing store
     serves the result without executing anything."""
     store_root = tmp_path / "results"
-    svc = SchedulerService(store=ResultStore(store_root)).start(inproc_address)
+    svc = SchedulerService(store=ResultStore(store_root)).start(ANY_PORT)
     try:
-        with ServiceClient(inproc_address) as client:
+        with ServiceClient(svc.address) as client:
             first = client.run(tiny_scenario())
     finally:
         svc.stop()
 
-    svc = SchedulerService(store=ResultStore(store_root)).start(
-        inproc_address + "-2"
-    )
+    svc = SchedulerService(store=ResultStore(store_root)).start(ANY_PORT)
     try:
-        with ServiceClient(inproc_address + "-2") as client:
+        with ServiceClient(svc.address) as client:
             sub = client.submit(tiny_scenario())
             assert client.status(sub)["cached"] is True
             again = client.result(sub)
@@ -176,19 +176,30 @@ def test_unknown_op_is_an_error(service):
         service.client()._request({"op": "frobnicate"}, expect="nothing")
 
 
-def test_stats_reports_store_and_address(service, inproc_address):
+def test_stats_reports_store_and_address(service):
     stats = service.client().stats()
-    assert stats["address"] == inproc_address
+    assert stats["address"] == service.address
+    assert not service.address.endswith(":0")  # the bound port
     assert stats["store"].endswith("results")
     assert stats["jobs"] == 1
 
 
-def test_double_start_rejected(service, inproc_address):
+def test_double_start_rejected(service):
     with pytest.raises(RuntimeError, match="already started"):
-        service.start(inproc_address + "-again")
+        service.start(ANY_PORT)
 
 
-def test_start_failure_propagates(service, inproc_address):
+def test_stop_with_a_client_connected_logs_no_error(service, caplog):
+    """Stopping cancels open connections quietly."""
+    service.client().stats()
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        service.stop()
+    assert [r.getMessage() for r in caplog.records] == []
+
+
+def test_start_failure_propagates(service):
+    """A bind error in the serving thread reaches the caller: a second
+    scheduler cannot listen on a live port."""
     other = SchedulerService()
-    with pytest.raises(ValueError, match="already listening"):
-        other.start(inproc_address)
+    with pytest.raises(OSError):
+        other.start(service.address)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import default_cluster
 from repro.core import DepthController, PolicySpec
-from repro.experiments.harness import run_single_job
+from repro.scenario import load_scenario, run_scenario, single_app
 from repro.telemetry import (
     EVENT_TYPES,
     REQUEST_COMPLETED,
@@ -20,7 +20,6 @@ from repro.telemetry import (
     validate_trace_line,
     validate_trace_record,
 )
-from repro.workloads import teragen
 
 TINY = default_cluster(scale=1 / 256)
 
@@ -92,16 +91,19 @@ def test_sink_rejects_unknown_kinds():
 
 
 def test_run_single_job_exports_schema_valid_trace(tmp_path):
-    """End to end: a coordinated SFQ(D2) run traced to disk produces a
-    schema-valid JSON-lines file covering the whole event vocabulary
-    this run can emit."""
+    """End to end, the way README's snippet runs it: a coordinated
+    SFQ(D2) scenario file traced to disk produces a schema-valid
+    JSON-lines file covering the whole event vocabulary this run can
+    emit."""
     ctrl = DepthController.symmetric(0.05)
+    scenario_path = tmp_path / "teragen.json"
+    scenario_path.write_text(single_app(
+        TINY, PolicySpec.sfqd2(ctrl, coordinated=True), "teragen",
+        name="traced", max_cores=96,
+    ).to_json())
     path = tmp_path / "trace.jsonl"
-    job, _cluster = run_single_job(
-        TINY, PolicySpec.sfqd2(ctrl, coordinated=True), teragen(TINY),
-        preloads={}, max_cores=96, trace_path=path,
-    )
-    assert job.finish_time is not None
+    manifest = run_scenario(load_scenario(scenario_path), trace_path=path)
+    assert manifest.rows[0]["finish"] is not None
     lines = path.read_text().splitlines()
     n = validate_trace_file(lines)
     assert n == len(lines) > 0

@@ -29,7 +29,7 @@ def test_cluster_builds_paper_topology():
     assert len(cl.nodes) == 8
     assert len(list(cl.schedulers())) == 24  # 3 classes x 8 nodes
     assert len(list(cl.schedulers(IOClass.PERSISTENT))) == 8
-    assert cl.rm.total_cores_free == 96
+    assert sum(cl.rm.cores_free.values()) == 96
 
 
 def test_broker_only_when_coordinated():
@@ -90,8 +90,9 @@ def test_cluster_throughput_positive_after_run():
     cl.submit(JobSpec(name="scan", input_path="/in/w", n_reduces=0),
               max_cores=96)
     cl.run()
-    assert cl.cluster_throughput() > 0
-    assert cl.cluster_throughput(t_end=0) == 0.0
+    assert cl.windowed_throughput(0.0, cl.sim.now) > 0
+    with pytest.raises(ValueError):  # an empty window
+        cl.windowed_throughput(0.0, 0.0)
 
 
 def test_app_throughput_meters_exist_per_app():

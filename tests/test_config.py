@@ -31,7 +31,7 @@ def test_testbed_shape():
     cfg = default_cluster()
     assert cfg.n_workers == 8
     assert cfg.cores_per_node == 12
-    assert cfg.total_cores == 96
+    assert cfg.n_workers * cfg.cores_per_node == 96
     assert cfg.yarn.map_task_vcores == 1
     assert cfg.yarn.map_task_memory == 2 * GB
     assert cfg.yarn.reduce_task_memory == 8 * GB

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import GB, TB, default_cluster
 from repro.workloads import (
-    io_ramp_job,
     teragen,
     terasort,
     teravalidate,
@@ -46,11 +45,3 @@ def test_teravalidate_read_mostly():
     spec = teravalidate(CFG, "/in/sorted")
     assert spec.n_reduces == 0
     assert spec.output_bytes == 0
-
-
-def test_io_ramp_job():
-    spec = io_ramp_job(CFG, "/in/x", n_maps=16)
-    assert spec.map_cpu_s_per_mb == 0.0
-    assert spec.n_maps == 16
-    with pytest.raises(ValueError):
-        io_ramp_job(CFG, "/in/x", n_maps=0)
