@@ -67,19 +67,12 @@ class AppMaster:
         if job.n_maps_total == 0:
             raise ValueError(f"job {spec.name!r} planned zero maps")
 
-        def map_factory(i, blocks):
-            return lambda node, scope: run_map_task(
-                self.env, job, i, node, blocks, scope
-            )
-
         map_procs = [
             sim.process(
                 self._run_in_container(
-                    map_factory(i, blocks),
-                    vcores=self.yarn.map_task_vcores,
-                    memory=self.yarn.map_task_memory,
-                    preferred=preferred,
-                    what=f"map{i}",
+                    run_map_task, (i, blocks),
+                    self.yarn.map_task_vcores, self.yarn.map_task_memory,
+                    preferred, "map",
                 ),
                 name=f"{job.app_id}:map{i}",
             )
@@ -91,19 +84,12 @@ class AppMaster:
             threshold = max(1, int(spec.slowstart * job.n_maps_total))
             while job.maps_completed < threshold:
                 yield job.map_output_gate.wait()
-            def reduce_factory(r):
-                return lambda node, scope: run_reduce_task(
-                    self.env, job, r, node, scope
-                )
-
             reduce_procs = [
                 sim.process(
                     self._run_in_container(
-                        reduce_factory(r),
-                        vcores=self.yarn.reduce_task_vcores,
-                        memory=self.yarn.reduce_task_memory,
-                        preferred=(),
-                        what=f"red{r}",
+                        run_reduce_task, (r,),
+                        self.yarn.reduce_task_vcores,
+                        self.yarn.reduce_task_memory, (), "red",
                     ),
                     name=f"{job.app_id}:red{r}",
                 )
@@ -113,33 +99,46 @@ class AppMaster:
         yield sim.all_of(map_procs + reduce_procs)
         job.finish()
 
-    def _run_in_container(
-        self, task_factory, vcores: int, memory: int, preferred, what: str = "task"
-    ):
-        """Generator: acquire a container, build the task for the granted
-        node, run it, and release the container whatever happens.
+    def _run_in_container(self, task, args, vcores: int, memory: int,
+                          preferred, kind: str):
+        """Generator: acquire a container, then run ``task(env, job,
+        node, scope, *args)`` in it (see :meth:`_run_granted`).
+
+        Every task of a job parks here on its first container request,
+        so this frame is kept small: the retry loop and everything it
+        needs live in :meth:`_run_granted`, which runs only once a
+        container is granted.
+        """
+        grant = yield self.rm.request_container(
+            self.job.app_id, vcores, memory, preferred
+        )
+        yield from self._run_granted(
+            grant, task, args, vcores, memory, preferred, kind
+        )
+
+    def _run_granted(self, grant: ContainerGrant, task, args, vcores: int,
+                     memory: int, preferred, kind: str):
+        """Generator: run the task in ``grant``'s container, and release
+        the container whatever happens.
 
         A task killed by an injected fault (its node crashed, or all its
         I/O retries were exhausted) is re-run in a fresh container on a
         different node, up to ``yarn.max_task_attempts`` attempts; the
         dead attempt's cancel scope withdraws its still-queued I/O from
         the schedulers before the retry.  Any non-fault failure
-        propagates: it's a model bug, not weather.
+        propagates: it's a model bug, not weather.  The task is labelled
+        ``kind`` plus its index, ``args[0]`` (``map3``, ``red0``).
         """
         sim = self.env.sim
         env = self.env
+        app_id = self.job.app_id
+        what = f"{kind}{args[0]}"
         attempts = 0
-        avoid: set[str] = set()
+        avoid: tuple[str, ...] = ()  # nodes an attempt died on
         while True:
-            prefer = tuple(n for n in preferred if n not in avoid) or tuple(preferred)
-            grant: ContainerGrant = yield self.rm.request_container(
-                self.job.app_id, vcores, memory, prefer
-            )
-            scope = CancelScope(
-                name=f"{self.job.app_id}:{what}:a{attempts}"
-            )
+            scope = CancelScope(name=f"{app_id}:{what}:a{attempts}")
             proc = sim.process(
-                task_factory(grant.node_id, scope),
+                task(env, self.job, grant.node_id, scope, *args),
                 name=f"task@{grant.node_id}",
             )
             if env.faults is not None:
@@ -154,18 +153,20 @@ class AppMaster:
             except FaultError as exc:
                 failure = exc
             finally:
-                self.rm.release_container(self.job.app_id, grant)
+                self.rm.release_container(app_id, grant)
             scope.cancel()
             attempts += 1
-            avoid.add(grant.node_id)
+            avoid += (grant.node_id,)
             if attempts >= self.yarn.max_task_attempts:
                 raise SimulationError(
-                    f"task {what} of {self.job.app_id} failed "
+                    f"task {what} of {app_id} failed "
                     f"{attempts} attempts (last on {grant.node_id})"
                 ) from failure
             telemetry = env.telemetry
             if telemetry is not None and telemetry.publishes(TASK_RETRY):
                 telemetry.publish(TaskRetry(
-                    t=sim.now, source=self.job.app_id, task=what,
+                    t=sim.now, source=app_id, task=what,
                     node=grant.node_id, attempt=attempts,
                 ))
+            prefer = tuple(n for n in preferred if n not in avoid) or preferred
+            grant = yield self.rm.request_container(app_id, vcores, memory, prefer)

@@ -58,18 +58,17 @@ def _cpu_time(nbytes: float, s_per_mb: float, env: TaskEnv) -> float:
     return (nbytes / MB) * s_per_mb * env.jitter()
 
 
-def run_map_task(env: TaskEnv, job: Job, map_index: int, node_id: str,
-                 split_blocks: tuple[int, ...],
-                 scope: Optional[CancelScope] = None):
+def run_map_task(env: TaskEnv, job: Job, node_id: str, scope: CancelScope,
+                 map_index: int, split_blocks: tuple[int, ...]):
     """Generator: one map task on ``node_id``.
 
-    With a ``scope``, every I/O the task issues is registered for
+    Every I/O the task issues is registered with ``scope`` for
     cancellation: if the attempt dies, its still-queued requests are
     withdrawn from the schedulers instead of draining as orphans.
     """
     sim = env.sim
     spec = job.spec
-    tag = job.tag if scope is None else job.tag.scoped(scope)
+    tag = job.tag.scoped(scope)
 
     # 1. Input: read the split from HDFS, or nothing for generator jobs.
     input_bytes = 0
@@ -109,20 +108,24 @@ def run_map_task(env: TaskEnv, job: Job, map_index: int, node_id: str,
     job.note_map_output(MapOutput(map_index, node_id, map_out))
 
 
-def run_reduce_task(env: TaskEnv, job: Job, reduce_index: int, node_id: str,
-                    scope: Optional[CancelScope] = None):
+def run_reduce_task(env: TaskEnv, job: Job, node_id: str, scope: CancelScope,
+                    reduce_index: int):
     """Generator: one reduce task on ``node_id``."""
     sim = env.sim
     spec = job.spec
-    tag = job.tag if scope is None else job.tag.scoped(scope)
+    tag = job.tag.scoped(scope)
     lfs = env.localfs[node_id]
     slots = Resource(sim, SHUFFLE_PARALLELISM, name=f"fetch:{job.app_id}")
     merge_f = spec.reduce_merge_factor
     fetched = 0
 
+    # A fetch parks on a slot in this small frame; the body's larger
+    # frame exists only while the fetch holds a slot.
     def fetch_one(out: MapOutput, part: int):
-        grant = slots.acquire()
-        yield grant
+        yield slots.acquire()
+        yield from fetch_body(out, part)
+
+    def fetch_body(out: MapOutput, part: int):
         try:
             # Source side: the NM shuffle servlet reads the map output
             # from the source node's temporary disk (NETWORK class, §3).

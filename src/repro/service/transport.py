@@ -2,7 +2,8 @@
 
 Messages are JSON objects, each with an ``"op"`` field, carried one
 per line over a TCP stream at ``tcp://<host>:<port>`` (port ``0`` picks
-a free port; the listener reports the bound address).  The comm layer
+a free port; the listener reports the bound address; an IPv6 host is
+written ``tcp://[::1]:<port>``).  The comm layer
 is modelled on Dask's ``distributed``, which the ROADMAP names as the
 reference shape.
 
@@ -94,7 +95,8 @@ def error_message(exc_or_text: "BaseException | str") -> dict[str, Any]:
 
 def parse_address(address: str) -> tuple[str, int]:
     """``tcp://host:port`` → ``(host, port)``; ``ValueError`` for
-    anything else."""
+    anything else.  An IPv6 host may be bracketed (``tcp://[::1]:0``)
+    or bare (``tcp://::1:0``): the port follows the last ``:``."""
     scheme, sep, rest = address.partition("://")
     if not sep or not scheme or not rest:
         raise ValueError(
@@ -106,7 +108,9 @@ def parse_address(address: str) -> tuple[str, int]:
             f"unknown transport scheme {scheme!r}; use tcp://host:port"
         )
     host, _, port = rest.rpartition(":")
-    if not host or not port.isdigit():
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    if not host or "[" in host or "]" in host or not port.isdigit():
         raise ValueError(f"tcp address needs host:port, got {address!r}")
     return host, int(port)
 
@@ -128,8 +132,10 @@ async def listen(address: str, handler: Handler):
             await chan.close()
 
     server = await asyncio.start_server(on_connect, host, port)
-    bound = server.sockets[0].getsockname()
-    return _TcpListener(server, f"tcp://{bound[0]}:{bound[1]}")
+    host, port = server.sockets[0].getsockname()[:2]
+    if ":" in host:  # IPv6: bracketed, as parse_address reads it back
+        host = f"[{host}]"
+    return _TcpListener(server, f"tcp://{host}:{port}")
 
 
 def connect(address: str):

@@ -246,7 +246,8 @@ class Process(Event):
         if not hasattr(gen, "send"):
             raise SimulationError(f"Process requires a generator, got {gen!r}")
         self._gen = gen
-        self._interrupts: list[Interrupt] = []
+        # Made by the first interrupt(): most processes never get one.
+        self._interrupts: Optional[list[Interrupt]] = None
         # Kick off at the current simulation time: the process schedules
         # *itself* as its start record (see _process), so no init Event
         # is allocated.
@@ -271,6 +272,8 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished process {self.name}")
+        if self._interrupts is None:
+            self._interrupts = []
         self._interrupts.append(Interrupt(cause))
         target = self._target
         if target is not None:
@@ -338,7 +341,10 @@ class Process(Event):
                     )
                 if nxt._state == _PROCESSED:
                     # Already done: loop synchronously with its outcome.
+                    # Re-read the interrupts: the step may have
+                    # interrupted this very process and made the list.
                     trigger = nxt
+                    interrupts = self._interrupts
                     continue
                 if nxt._state == WITHDRAWN:
                     # A withdrawn event can never fire; waiting on it

@@ -25,7 +25,7 @@ class Resource:
     matching how YARN hands out containers per app request order).
     """
 
-    __slots__ = ("sim", "capacity", "in_use", "name", "_waiters")
+    __slots__ = ("sim", "capacity", "in_use", "name", "_event_name", "_waiters")
 
     def __init__(self, sim: Simulator, capacity: int, name: str = ""):
         if capacity <= 0:
@@ -34,6 +34,7 @@ class Resource:
         self.capacity = int(capacity)
         self.in_use = 0
         self.name = name
+        self._event_name = f"acquire:{name}"  # shared by every acquire event
         self._waiters: deque[tuple[Event, int]] = deque()
 
     @property
@@ -45,7 +46,7 @@ class Resource:
             raise SimulationError(
                 f"cannot acquire {amount} of {self.capacity} from {self.name!r}"
             )
-        ev = Event(self.sim, name=f"acquire:{self.name}")
+        ev = Event(self.sim, name=self._event_name)
         self._waiters.append((ev, amount))
         self._grant()
         return ev

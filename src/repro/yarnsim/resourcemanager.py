@@ -13,7 +13,7 @@ fits nowhere does not block the app's other shapes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.simcore import Event, SimulationError, Simulator
@@ -30,12 +30,15 @@ class AppHandle:
     max_cores: Optional[int] = None  # hard CPU cap (the paper pins these)
     cores_used: int = 0
     mem_used: int = 0
+    #: the name of every container event of the app (one shared string)
+    event_name: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weight <= 0:
             raise ValueError("app weight must be positive")
         if self.max_cores is not None and self.max_cores <= 0:
             raise ValueError("max_cores must be positive when set")
+        self.event_name = f"container:{self.app_id}"
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ class ContainerGrant:
     memory: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     app: AppHandle
     vcores: int
@@ -131,7 +134,7 @@ class ResourceManager:
             raise ValueError(f"vcores {vcores} outside (0, {self.cores_per_node}]")
         if memory <= 0 or memory > self.memory_per_node:
             raise ValueError("memory outside node capacity")
-        ev = Event(self.sim, name=f"container:{app_id}")
+        ev = Event(self.sim, name=app.event_name)
         self._seq += 1
         p = _Pending(app, vcores, memory, tuple(preferred), ev, self._seq)
         self._pending[p.seq] = p

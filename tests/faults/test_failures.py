@@ -1,5 +1,6 @@
 """End-to-end failure handling: failover, retry, outage, determinism."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,7 @@ from repro.core import DepthController
 from repro.faults import FaultEvent, FaultPlan
 from repro.mapreduce import JobSpec
 from repro.simcore import SimulationError
-from repro.telemetry import REPLICA_FAILOVER, TASK_RETRY, CounterSink
+from repro.telemetry import REPLICA_FAILOVER, TASK_RETRY, CounterSink, TaskRetry
 
 CFG = default_cluster()
 CTRL = DepthController.symmetric(0.05)
@@ -99,6 +100,60 @@ def test_retry_budget_exhaustion_raises_simulation_error():
     cl, _job, _f, _r = _scan_run(cfg=cfg, faults=plan)
     with pytest.raises(SimulationError, match="attempt"):
         cl.run()
+
+
+def test_retried_map_avoids_the_node_it_died_on():
+    """Every block has its two replicas on dn00 and dn01, and both
+    crash for good, so map attempts die until one runs out of attempts.
+    Each re-request prefers the map's replica nodes minus those its
+    attempts died on (all of them when none is left), the retries of a
+    map count up from 1, and the budget error names the task."""
+    cfg = replace(CFG, yarn=replace(CFG.yarn, max_task_attempts=3))
+    nodes = ["dn00", "dn01"]
+    t0 = _healthy_runtime(cfg=cfg, nodes=nodes)
+    plan = FaultPlan(events=(
+        FaultEvent.node_crash(0.3 * t0, "dn00"),
+        FaultEvent.node_crash(0.5 * t0, "dn01"),
+    ))
+    cl, job, _f, _r = _scan_run(cfg=cfg, faults=plan, nodes=nodes)
+    # One log of retries and container requests, in the order they
+    # happen: a retry's re-request follows it at once.
+    log = []
+    cl.telemetry.subscribe(TASK_RETRY, log.append)
+    request = cl.rm.request_container
+
+    def logged_request(app_id, vcores, memory, preferred=()):
+        log.append(tuple(preferred))
+        return request(app_id, vcores, memory, preferred)
+
+    cl.rm.request_container = logged_request
+    with pytest.raises(SimulationError) as failed:
+        cl.run()
+
+    blocks = cl.namenode.lookup("/in/w").blocks
+    retries: dict[str, list] = {}
+    some_left = set()
+    for retry, preferred in zip(log, log[1:]):
+        if not isinstance(retry, TaskRetry):
+            continue
+        assert re.fullmatch(r"map\d+", retry.task)
+        assert retry.source == job.app_id
+        retries.setdefault(retry.task, []).append(retry)
+        dead = {r.node for r in retries[retry.task]}
+        replicas = blocks[int(retry.task[3:])].replicas
+        left = tuple(n for n in replicas if n not in dead)
+        assert preferred == (left or replicas)
+        some_left.add(bool(left))
+    assert some_left == {True, False}  # both cases were reached
+    for task_retries in retries.values():
+        attempts = [r.attempt for r in task_retries]
+        assert attempts == list(range(1, len(attempts) + 1))
+    # The exhausted map is one whose two retries were logged above.
+    match = re.fullmatch(
+        rf"task (map\d+) of {job.app_id} failed 3 attempts \(last on dn\d+\)",
+        str(failed.value),
+    )
+    assert match and len(retries[match.group(1)]) == 2
 
 
 def test_broker_outage_skips_rounds_and_job_finishes():

@@ -7,16 +7,56 @@ from contextlib import closing
 
 import pytest
 
-from repro.service import ServiceTimeout, connect, listen, parse_address
+from repro.execution import ResultStore
+from repro.service import (
+    SchedulerService,
+    ServiceClient,
+    ServiceTimeout,
+    connect,
+    listen,
+    parse_address,
+)
 from repro.service.transport import decode, encode, error_message
 
 
 def test_parse_address():
     assert parse_address("tcp://127.0.0.1:8642") == ("127.0.0.1", 8642)
+    # IPv6: bracketed or bare; the port follows the last colon.
+    assert parse_address("tcp://[::1]:0") == ("::1", 0)
+    assert parse_address("tcp://::1:0") == ("::1", 0)
+    assert parse_address("tcp://[fe80::1%lo]:8642") == ("fe80::1%lo", 8642)
     for bad in ("8642", "tcp://", "://x", "tcp:8642", "tcp://host",
-                "tcp://host:port", "udp://127.0.0.1:8642"):
+                "tcp://host:port", "udp://127.0.0.1:8642",
+                "tcp://[::1]", "tcp://[::1:0", "tcp://::1]:0", "tcp://[]:0",
+                "tcp://[[::1]]:0", "tcp://[::1]x:0"):
         with pytest.raises(ValueError):
             parse_address(bad)
+
+
+def _ipv6_loopback() -> bool:
+    if not socket.has_ipv6:
+        return False
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _ipv6_loopback(), reason="the loopback has no IPv6")
+def test_service_binds_a_bracketed_ipv6_address(tmp_path):
+    """A service bound on ``tcp://[::1]:0`` reports its bound address in
+    the same bracketed form, and a client reaches it there."""
+    svc = SchedulerService(store=ResultStore(tmp_path / "results"))
+    svc.start("tcp://[::1]:0")
+    try:
+        assert svc.address.startswith("tcp://[::1]:")
+        assert not svc.address.endswith(":0")
+        with ServiceClient(svc.address) as client:
+            assert client.stats()["address"] == svc.address
+    finally:
+        svc.stop()
 
 
 def test_encode_decode_round_trip():

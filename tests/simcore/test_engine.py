@@ -276,6 +276,28 @@ def test_double_interrupt_in_same_timestep():
     assert log == [("first", 2.0), ("second", 2.0)]
 
 
+def test_self_interrupt_before_a_processed_event_is_thrown_at_once():
+    """A process that interrupts itself, then yields an event that was
+    already processed, gets the Interrupt in that same step, not the
+    event's value."""
+    sim = Simulator()
+    done = sim.event()
+    done.succeed("value")
+    log = []
+
+    def proc():
+        yield sim.timeout(1.0)  # `done` is processed by now
+        me.interrupt(cause="self")
+        try:
+            log.append((yield done))
+        except Interrupt as intr:
+            log.append((intr.cause, sim.now))
+
+    me = sim.process(proc())
+    sim.run()
+    assert log == [("self", 1.0)]
+
+
 def test_interrupt_before_first_step_fails_process():
     """Interrupting a process that has not started yet throws into a
     just-created generator, which cannot catch: the process fails."""
