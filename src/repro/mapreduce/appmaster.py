@@ -13,7 +13,8 @@ from repro.config import YarnConfig
 from repro.dataplane import CancelScope
 from repro.mapreduce.job import Job
 from repro.mapreduce.task import TaskEnv, run_map_task, run_reduce_task
-from repro.simcore import FaultError, Interrupt, SimulationError
+from repro.simcore import Event, FaultError, Interrupt, SimulationError
+from repro.simcore.engine import _TRIGGERED
 from repro.telemetry import TASK_RETRY, TaskRetry
 from repro.yarnsim import ContainerGrant, ResourceManager
 
@@ -32,6 +33,8 @@ class AppMaster:
         self.rm = rm
         self.job = job
         self.yarn = yarn
+        #: the join over the job's task processes, one per map and reduce
+        self._tasks = env.sim.join()
 
     # ---------------------------------------------------------------- plan
     def plan_splits(self) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
@@ -67,59 +70,37 @@ class AppMaster:
         if job.n_maps_total == 0:
             raise ValueError(f"job {spec.name!r} planned zero maps")
 
-        map_procs = [
-            sim.process(
-                self._run_in_container(
-                    run_map_task, (i, blocks),
-                    self.yarn.map_task_vcores, self.yarn.map_task_memory,
-                    preferred, "map",
-                ),
-                name=f"{job.app_id}:map{i}",
-            )
-            for i, (blocks, preferred) in enumerate(splits)
-        ]
+        for i, (blocks, preferred) in enumerate(splits):
+            self._park(run_map_task, (i, blocks), preferred, "map")
 
-        reduce_procs = []
         if spec.n_reduces > 0:
             threshold = max(1, int(spec.slowstart * job.n_maps_total))
             while job.maps_completed < threshold:
                 yield job.map_output_gate.wait()
-            reduce_procs = [
-                sim.process(
-                    self._run_in_container(
-                        run_reduce_task, (r,),
-                        self.yarn.reduce_task_vcores,
-                        self.yarn.reduce_task_memory, (), "red",
-                    ),
-                    name=f"{job.app_id}:red{r}",
-                )
-                for r in range(spec.n_reduces)
-            ]
+            for r in range(spec.n_reduces):
+                self._park(run_reduce_task, (r,), (), "red")
 
-        yield sim.all_of(map_procs + reduce_procs)
+        yield self._tasks.arm(job.n_maps_total + spec.n_reduces)
         job.finish()
 
-    def _run_in_container(self, task, args, vcores: int, memory: int,
-                          preferred, kind: str):
-        """Generator: acquire a container, then run ``task(env, job,
-        node, scope, *args)`` in it (see :meth:`_run_granted`).
+    def _park(self, task, args, preferred, kind: str) -> None:
+        """Queue a task's :class:`_ParkedTask` record now."""
+        sim = self.env.sim
+        sim._queue._seq += 1
+        sim._now_q.append(_ParkedTask(self, task, args, preferred, kind))
 
-        Every task of a job parks here on its first container request,
-        so this frame is kept small: the retry loop and everything it
-        needs live in :meth:`_run_granted`, which runs only once a
-        container is granted.
-        """
-        grant = yield self.rm.request_container(
-            self.job.app_id, vcores, memory, preferred
-        )
-        yield from self._run_granted(
-            grant, task, args, vcores, memory, preferred, kind
-        )
+    def _shape(self, kind: str) -> tuple[int, int]:
+        """The (vcores, memory) of a ``kind`` task's container."""
+        yarn = self.yarn
+        if kind == "map":
+            return yarn.map_task_vcores, yarn.map_task_memory
+        return yarn.reduce_task_vcores, yarn.reduce_task_memory
 
-    def _run_granted(self, grant: ContainerGrant, task, args, vcores: int,
-                     memory: int, preferred, kind: str):
-        """Generator: run the task in ``grant``'s container, and release
-        the container whatever happens.
+    def _run_granted(self, grant: ContainerGrant, task, args, preferred,
+                     kind: str):
+        """Generator: run ``task(env, job, node, scope, *args)`` in
+        ``grant``'s container, and release the container whatever
+        happens.
 
         A task killed by an injected fault (its node crashed, or all its
         I/O retries were exhausted) is re-run in a fresh container on a
@@ -169,4 +150,46 @@ class AppMaster:
                     node=grant.node_id, attempt=attempts,
                 ))
             prefer = tuple(n for n in preferred if n not in avoid) or preferred
-            grant = yield self.rm.request_container(app_id, vcores, memory, prefer)
+            grant = yield self.rm.request_container(
+                app_id, *self._shape(kind), prefer)
+
+
+class _ParkedTask:
+    """A task waiting for its container.
+
+    The AppMaster queues one per task as it plans the task.  When popped
+    it makes the task's first container request and waits on the
+    container event as its only callback.  When the container is
+    granted, it starts the task's process (:meth:`AppMaster._run_granted`)
+    synchronously, inside that callback.  So a parked task is this
+    record, its request and its event, with no process or suspended
+    generator.
+    """
+
+    __slots__ = ("am", "task", "args", "preferred", "kind")
+
+    #: a queued record is never withdrawn
+    _state = _TRIGGERED
+
+    def __init__(self, am: AppMaster, task, args, preferred, kind: str):
+        self.am = am
+        self.task = task
+        self.args = args
+        self.preferred = preferred
+        self.kind = kind
+
+    def _process(self) -> None:
+        am = self.am
+        am.rm.request_container(
+            am.job.app_id, *am._shape(self.kind), self.preferred
+        ).callbacks.append(self)
+
+    def __call__(self, granted: Event) -> None:
+        am = self.am
+        proc = am.env.sim.start(
+            am._run_granted(
+                granted._value, self.task, self.args, self.preferred, self.kind
+            ),
+            name=f"{am.job.app_id}:{self.kind}{self.args[0]}",
+        )
+        am._tasks.add(proc)

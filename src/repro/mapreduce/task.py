@@ -13,7 +13,9 @@ Its I/O follows Figure 1:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import MB
@@ -22,7 +24,7 @@ from repro.hdfs import DFSClient
 from repro.localfs import LocalFS
 from repro.mapreduce.job import Job, MapOutput
 from repro.net import NetFabric
-from repro.simcore import Resource, Simulator
+from repro.simcore import Simulator
 from repro.simcore.rng import PCG64Stream
 from repro.telemetry import TelemetryBus
 
@@ -115,17 +117,26 @@ def run_reduce_task(env: TaskEnv, job: Job, node_id: str, scope: CancelScope,
     spec = job.spec
     tag = job.tag.scoped(scope)
     lfs = env.localfs[node_id]
-    slots = Resource(sim, SHUFFLE_PARALLELISM, name=f"fetch:{job.app_id}")
     merge_f = spec.reduce_merge_factor
     fetched = 0
 
-    # A fetch parks on a slot in this small frame; the body's larger
-    # frame exists only while the fetch holds a slot.
-    def fetch_one(out: MapOutput, part: int):
-        yield slots.acquire()
-        yield from fetch_body(out, part)
+    # At most SHUFFLE_PARALLELISM fetches run at once, in the order the
+    # map outputs appeared.  A fetch waiting for a slot is only its
+    # (MapOutput, part) pair: its process is made when it gets one.
+    free = SHUFFLE_PARALLELISM
+    parked: deque[tuple[MapOutput, int]] = deque()
+    fetches = sim.join()
+
+    def start(out: MapOutput, part: int) -> None:
+        nonlocal free
+        if free:
+            free -= 1
+            fetches.add(sim.process(fetch_body(out, part), name="fetch"))
+        else:
+            parked.append((out, part))
 
     def fetch_body(out: MapOutput, part: int):
+        nonlocal free
         try:
             # Source side: the NM shuffle servlet reads the map output
             # from the source node's temporary disk (NETWORK class, §3).
@@ -136,10 +147,15 @@ def run_reduce_task(env: TaskEnv, job: Job, node_id: str, scope: CancelScope,
                 # Sink side: spill the copied partition locally.
                 yield from lfs.write(part, tag)
         finally:
-            slots.release()
+            # Hand the slot to the fetch parked longest, if any.
+            if parked:
+                fetches.add(
+                    sim.process(fetch_body(*parked.popleft()), name="fetch"))
+            else:
+                free += 1
 
     # Progressive shuffle: copy each map's partition as it appears.
-    fetchers = []
+    n_fetches = 0
     consumed = 0
     while consumed < job.n_maps_total:
         while consumed >= len(job.map_outputs):
@@ -150,9 +166,11 @@ def run_reduce_task(env: TaskEnv, job: Job, node_id: str, scope: CancelScope,
         if part <= 0:
             continue
         fetched += part
-        fetchers.append(sim.process(fetch_one(out, part), name="fetch"))
-    if fetchers:
-        yield sim.all_of(fetchers)
+        n_fetches += 1
+        # The fetch takes a slot, or parks, when this call pops.
+        sim.call_in(0.0, partial(start, out, part))
+    if n_fetches:
+        yield fetches.arm(n_fetches)
 
     # Merge: each shuffled byte is read back merge_factor times, and
     # written (merge_factor - 1) extra times beyond the shuffle spill.

@@ -3,8 +3,8 @@
 A small, dependency-free discrete-event engine in the style of SimPy:
 generator-coroutine processes scheduled over a same-instant FIFO and a
 queue of later events keyed by due time, with deterministic
-tie-breaking, counting resources, gates, and instrumentation
-primitives (time series, rate meters).
+tie-breaking, gates, and instrumentation primitives (time series, rate
+meters).
 
 Everything in the IBIS reproduction — storage devices, HDFS, YARN,
 MapReduce tasks, and the IBIS schedulers themselves — runs on this engine.
@@ -14,6 +14,7 @@ from repro.simcore.engine import (
     Event,
     FaultError,
     Interrupt,
+    Join,
     Process,
     RequestCancelled,
     SimulationError,
@@ -21,7 +22,7 @@ from repro.simcore.engine import (
     Timeout,
 )
 from repro.simcore.instrument import RateMeter, TimeSeries, TotalMeter
-from repro.simcore.resources import Gate, Resource
+from repro.simcore.resources import Gate
 from repro.simcore.rng import RngRegistry
 
 __all__ = [
@@ -29,10 +30,10 @@ __all__ = [
     "FaultError",
     "Gate",
     "Interrupt",
+    "Join",
     "Process",
     "RateMeter",
     "RequestCancelled",
-    "Resource",
     "RngRegistry",
     "SimulationError",
     "Simulator",

@@ -14,7 +14,8 @@ IBIS cluster simulation:
   (or the stored exception is thrown into it).
 * :class:`Timeout` is an event that triggers after a simulated delay.
 * :class:`Condition` waits for several events at once
-  (:meth:`Simulator.all_of`, :meth:`Simulator.any_of`).
+  (:meth:`Simulator.all_of`, :meth:`Simulator.any_of`), and
+  :class:`Join` for processes that are started one by one.
 * Processes can be interrupted (:class:`Interrupt`), which is how task
   preemption is modelled.
 
@@ -32,6 +33,7 @@ __all__ = [
     "Event",
     "FaultError",
     "Interrupt",
+    "Join",
     "Process",
     "RequestCancelled",
     "SimulationError",
@@ -237,9 +239,12 @@ class Process(Event):
     The process itself is an event that triggers when the generator
     returns (success, value = return value) or raises (failure).  Other
     processes can therefore ``yield proc`` to join it.
+
+    Make one with :meth:`Simulator.process`, which queues its start, or
+    :meth:`Simulator.start`, which runs its first step at once.
     """
 
-    __slots__ = ("_gen", "_target", "_interrupts", "_started")
+    __slots__ = ("_gen", "_target", "_interrupts", "_join")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
@@ -248,20 +253,20 @@ class Process(Event):
         self._gen = gen
         # Made by the first interrupt(): most processes never get one.
         self._interrupts: Optional[list[Interrupt]] = None
-        # Kick off at the current simulation time: the process schedules
-        # *itself* as its start record (see _process), so no init Event
-        # is allocated.
-        self._started = False
         self._target: Optional[Event] = _START
-        sim._queue._seq += 1
-        sim._now_q.append(self)
+        # The unarmed Join this process belongs to, if any.
+        self._join: Optional[Join] = None
 
     def _process(self) -> None:
-        if not self._started:
-            # First pop: start the generator directly.
-            self._started = True
+        if self._state == _PENDING:
+            # Popped while pending: this is the process's own start
+            # record (see Simulator.process), so no init Event is
+            # allocated.  Start the generator directly.
             self._resume(_START)
             return
+        join = self._join
+        if join is not None:
+            join._processed(self)
         Event._process(self)
 
     @property
@@ -304,8 +309,6 @@ class Process(Event):
         if trigger is not self._target and not interrupts:
             return  # stale wake-up (e.g. interrupt already delivered)
         self._target = None
-        sim = self.sim
-        sim._active = self
         gen = self._gen
         try:
             while True:
@@ -359,8 +362,6 @@ class Process(Event):
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             self._finish_fail(exc)
-        finally:
-            sim._active = None
 
     def _finish_ok(self, value: Any) -> None:
         self._value = value
@@ -435,6 +436,81 @@ class Condition(Event):
                     ev.callbacks.remove(cb)
                 except ValueError:
                     pass
+
+
+class Join(Condition):
+    """``all_of`` over processes that are started one by one.
+
+    :meth:`add` each process as it starts; :meth:`arm` with the total
+    where ``sim.all_of(procs)`` would have been built, and wait on the
+    join.  From arming on it is that ``all_of``: it walks the processes
+    started so far in creation order, counting the processed ones and
+    failing with the first processed failure, attaches its callback to
+    the rest and to each process added later, and on settling detaches
+    from every unprocessed one.
+
+    Before arming it attaches no callback, so a process that fails
+    unjoined is still raised (or counted as collateral) by the run
+    loop; the process tells its join when it is processed instead.  The
+    join holds only processes not yet processed, plus, until arming,
+    processed failures, which the walk must meet in creation order.
+    """
+
+    __slots__ = ("_done",)
+
+    def __init__(self, sim: "Simulator"):
+        Event.__init__(self, sim, name="join")
+        #: the processes held, in creation order (a dict as ordered set)
+        self._events: dict[Process, None] = {}
+        self._done = 0  # processed successes seen before arming
+        self._need: Optional[int] = None  # successes still needed, once armed
+
+    def add(self, proc: Process) -> None:
+        """Count ``proc``, just started, as the next of the processes."""
+        if self._need is None:
+            self._events[proc] = None
+            proc._join = self
+        elif self._state == _PENDING:
+            self._take(proc)
+
+    def arm(self, total: int) -> "Join":
+        """Wait for ``total`` processes, those added so far included."""
+        if self._need is not None:
+            raise SimulationError("join armed twice")
+        started, self._events = self._events, {}
+        for proc in started:
+            proc._join = None
+        self._need = total - self._done
+        if not self._need:
+            self.succeed()
+            return self
+        for proc in started:
+            if self._state != _PENDING:
+                break  # settled by a processed one
+            self._take(proc)
+        return self
+
+    def _processed(self, proc: Process) -> None:
+        """Called by ``proc`` as it is processed, before arming."""
+        proc._join = None
+        if proc._exc is None:
+            del self._events[proc]
+            self._done += 1
+
+    def _take(self, proc: Process) -> None:
+        if proc._state == _PROCESSED:
+            self._check(proc)
+        else:
+            self._events[proc] = None
+            proc.callbacks.append(self._check)
+
+    def _check(self, proc: Process) -> None:
+        self._events.pop(proc, None)
+        Condition._check(self, proc)
+
+    def _detach(self) -> None:
+        Condition._detach(self)
+        self._events = {}
 
 
 class _LaterQueue:
@@ -539,7 +615,6 @@ class Simulator:
         self.now: float = 0.0
         self._queue = _LaterQueue()
         self._now_q: deque = deque()  # events due at `now`, in seq order
-        self._active: Optional[Process] = None
         self._defunct: list[Process] = []  # failed processes, checked in run()
         #: orphaned processes killed by an injected fault (no joiner);
         #: counted rather than raised — see :class:`FaultError`.
@@ -556,7 +631,25 @@ class Simulator:
         return Timeout(self, delay, value)
 
     def process(self, gen: Generator, name: str = "") -> Process:
-        return Process(self, gen, name)
+        """A process whose first step runs when its start record, queued
+        now, is popped."""
+        proc = Process(self, gen, name)
+        self._queue._seq += 1
+        self._now_q.append(proc)
+        return proc
+
+    def start(self, gen: Generator, name: str = "") -> Process:
+        """A process whose first step runs at once, inside the current
+        callback: no start record is queued, so the step takes the place
+        in event order of whatever calls ``start``."""
+        proc = Process(self, gen, name)
+        proc._resume(_START)
+        return proc
+
+    def join(self) -> "Join":
+        """A counted wait over processes started one by one (see
+        :class:`Join`)."""
+        return Join(self)
 
     def all_of(self, events: list[Event]) -> Condition:
         """Wait for every one of ``events`` (see :class:`Condition`)."""

@@ -1,13 +1,16 @@
 """Memory held by parked work: a map task waiting for its container, and
 a shuffle fetch waiting for one of its reducer's slots.
 
-An AppMaster starts every map of a job at once, and a reducer starts one
+An AppMaster queues every map of a job at once, and a reducer queues one
 fetch per map output, so the bytes each parked one holds, times the
-queue length, set a run's peak memory.  Both park in a small generator
-that ``yield from``s the task body only once its wait is over.  The
-bounds sit between the bytes measured here before that split (1,913 per
-map and 972 per fetch) and after it (1,080 and 784), on CPython 3.11;
-other minor versions lay objects out differently.
+queue length, set a run's peak memory.  A parked map is a small record
+hung on its container event, and a parked fetch a ``(MapOutput, part)``
+pair; each gets its process only once its wait is over, and the joins
+over those processes hold none that has finished.  The bounds sit
+between the bytes measured here when a parked map and fetch were each a
+process in a small generator (1,080 per map, 784 per fetch, and 579 per
+fetched output at merge start) and as records (520, 111 and 227), on
+CPython 3.11; other minor versions lay objects out differently.
 """
 
 import gc
@@ -30,6 +33,9 @@ pytestmark = pytest.mark.skipif(
     reason="byte bounds are calibrated on CPython 3.11's object layouts",
 )
 
+#: map outputs a reducer shuffles in the fetch tests
+N_OUTPUTS = 2_000
+
 
 def _bytes_held(start) -> int:
     """Traced bytes that ``start()`` leaves allocated."""
@@ -42,6 +48,19 @@ def _bytes_held(start) -> int:
         return tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
+
+
+def _shuffle_job(n: int):
+    """A cluster and a one-reduce job whose ``n`` 1 MB map outputs all
+    exist already."""
+    cl = BigDataCluster(default_cluster(), PolicySpec.native())
+    spec = JobSpec(name="shuffle", n_maps=n, shuffle_bytes=n * MB, n_reduces=1)
+    job = Job(cl.sim, spec, "app01-shuffle", IOTag("app01-shuffle"))
+    job.n_maps_total = n
+    job.map_outputs = [
+        MapOutput(i, cl.node_ids[i % len(cl.node_ids)], MB) for i in range(n)
+    ]
+    return cl, job
 
 
 def test_parked_map_task_bytes():
@@ -58,20 +77,13 @@ def test_parked_map_task_bytes():
     held = _bytes_held(start)
     parked = len(cl.rm._pending)
     assert parked == cl.jobs[0].n_maps_total - 48 > 16_000
-    assert held / parked <= 1_100
+    assert held / parked <= 600
 
 
 def test_parked_shuffle_fetch_bytes():
     """One reducer over 2,000 map outputs: five fetches hold a slot, the
     rest wait for one."""
-    n = 2_000
-    cl = BigDataCluster(default_cluster(), PolicySpec.native())
-    spec = JobSpec(name="shuffle", n_maps=n, shuffle_bytes=n * MB, n_reduces=1)
-    job = Job(cl.sim, spec, "app01-shuffle", IOTag("app01-shuffle"))
-    job.n_maps_total = n
-    job.map_outputs = [
-        MapOutput(i, cl.node_ids[i % len(cl.node_ids)], MB) for i in range(n)
-    ]
+    cl, job = _shuffle_job(N_OUTPUTS)
 
     def start():
         cl.sim.process(run_reduce_task(cl.env, job, "dn00", CancelScope(), 0))
@@ -79,4 +91,38 @@ def test_parked_shuffle_fetch_bytes():
 
     held = _bytes_held(start)
     assert job.reduces_completed == 0
-    assert held / (n - SHUFFLE_PARALLELISM) <= 850
+    assert held / (N_OUTPUTS - SHUFFLE_PARALLELISM) <= 150
+
+
+def test_reducer_bytes_per_fetched_output_when_its_merge_starts():
+    """The same reducer, measured as its merge starts (its first read of
+    the local disk): every fetch has finished, and nothing the reducer
+    keeps should grow with the fetches it ran."""
+    cl, job = _shuffle_job(N_OUTPUTS)
+    lfs = cl.env.localfs["dn00"]
+    merge_started = cl.sim.event()
+    held = []
+    read = lfs.read
+
+    def first_read(nbytes, tag):
+        if not held:
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+            merge_started.succeed()
+        return read(nbytes, tag)
+
+    lfs.read = first_read
+
+    def start():
+        cl.sim.process(run_reduce_task(cl.env, job, "dn00", CancelScope(), 0))
+        cl.sim.run(until=merge_started)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        start()
+    finally:
+        tracemalloc.stop()
+    assert job.reduces_completed == 0
+    assert (held[0] - base) / N_OUTPUTS <= 300

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.config import HDD_PROFILE, MB
 from repro.simcore import Interrupt, SimulationError, Simulator
-from repro.simcore.engine import _TRIGGERED, WITHDRAWN
+from repro.simcore.engine import _START, _TRIGGERED, WITHDRAWN
 from repro.storage.device import StorageDevice
 from tests.device_events import submit
 from tests.simcore.oracle import HeapSimulator
@@ -106,7 +106,7 @@ class Program:
         elif kind == "interrupt":
             # Started and waiting on their timeout, due now or later.
             asleep = [p for p in self.sleepers
-                      if p.is_alive and p._started and p._target is not None]
+                      if p.is_alive and p._target not in (None, _START)]
             if asleep:
                 asleep[arg % len(asleep)].interrupt("x")
         elif kind == "run_time":

@@ -1,87 +1,6 @@
-"""Unit tests for Resource / Gate."""
+"""Unit tests for Gate."""
 
-import pytest
-
-from repro.simcore import Gate, Resource, SimulationError, Simulator
-
-
-def test_resource_grants_up_to_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    grants = []
-
-    def worker(tag, hold):
-        yield res.acquire()
-        grants.append((tag, sim.now))
-        yield sim.timeout(hold)
-        res.release()
-
-    for tag in range(4):
-        sim.process(worker(tag, 10.0))
-    sim.run()
-    times = dict(grants)
-    assert times[0] == 0.0 and times[1] == 0.0
-    assert times[2] == 10.0 and times[3] == 10.0
-
-
-def test_resource_fifo_head_of_line():
-    """A large request at the head blocks later small ones (YARN-style)."""
-    sim = Simulator()
-    res = Resource(sim, capacity=4)
-    order = []
-
-    def big():
-        yield res.acquire(3)
-        order.append(("big", sim.now))
-        res.release(3)
-
-    def small():
-        yield res.acquire(1)
-        order.append(("small", sim.now))
-        res.release(1)
-
-    def hogger():
-        yield res.acquire(4)
-        yield sim.timeout(5.0)
-        res.release(4)
-
-    sim.process(hogger())
-    sim.run(until=0.5)
-    sim.process(big())
-    sim.process(small())
-    sim.run()
-    assert order[0][0] == "big"
-    assert order[0][1] == 5.0
-
-
-def test_resource_over_release_rejected():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_acquire_more_than_capacity_rejected():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    with pytest.raises(SimulationError):
-        res.acquire(3)
-
-
-def test_resource_zero_capacity_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Resource(sim, capacity=0)
-
-
-def test_resource_available_accounting():
-    sim = Simulator()
-    res = Resource(sim, capacity=5)
-    res.acquire(2)
-    sim.run()
-    assert res.available == 3
-    res.release(2)
-    assert res.available == 5
+from repro.simcore import Gate, Simulator
 
 
 def test_gate_broadcasts_to_all_waiters():
