@@ -32,13 +32,7 @@ def run_wc(config, policy, with_tg=True):
     if with_tg:
         cluster.submit(teragen(config), io_weight=1.0, max_cores=48)
     cluster.run(wc.done)
-    total = sum(
-        d.read_meter.window_total(0, wc.finish_time)
-        + d.write_meter.window_total(0, wc.finish_time)
-        for n in cluster.nodes.values()
-        for d in (n.hdfs_device, n.tmp_device)
-    )
-    return wc.runtime, total / wc.finish_time / MB
+    return wc.runtime, cluster.windowed_throughput(0.0, wc.finish_time) / MB
 
 
 def main() -> None:

@@ -219,35 +219,23 @@ class BigDataCluster:
     def windowed_throughput(self, t0: float, t1: float) -> float:
         """Aggregate storage throughput (bytes/s) over [t0, t1) —
         the Fig. 6b/8b accounting, owned by the cluster so experiments
-        need not reach into per-node devices."""
+        need not reach into per-node schedulers."""
         if t1 <= t0:
             raise ValueError("need t1 > t0")
-        total = 0.0
-        for node in self.nodes.values():
-            for dev in (node.hdfs_device, node.tmp_device):
-                total += dev.read_meter.window_total(t0, t1)
-                total += dev.write_meter.window_total(t0, t1)
-        return total / (t1 - t0)
+        return sum(m.window_total(t0, t1) for m in self.meters()) / (t1 - t0)
 
-    def app_throughput_meters(self, app_id: str):
-        """All per-scheduler rate meters of one application."""
-        out = []
-        for node in self.nodes.values():
-            for sched in node.schedulers.values():
-                meter = sched.stats.meter_by_app.get(app_id)
-                if meter is not None:
-                    out.append(meter)
-        return out
-
-    def device_meters(self, op: str):
-        """Every device's read or write meter (Fig. 2 profiles)."""
-        if op not in ("read", "write"):
+    def meters(self, app_id: Optional[str] = None, op: Optional[str] = None):
+        """The schedulers' completed-bytes rate meters, one per
+        (scheduler, app, op), optionally of one app and/or one op."""
+        if op not in (None, "read", "write"):
             raise ValueError("op must be 'read' or 'write'")
-        out = []
-        for node in self.nodes.values():
-            for dev in (node.hdfs_device, node.tmp_device):
-                out.append(dev.read_meter if op == "read" else dev.write_meter)
-        return out
+        return [
+            meter
+            for sched in self.schedulers()
+            for (app, meter_op), meter in sched.stats.meters.items()
+            if (app_id is None or app == app_id)
+            and (op is None or meter_op == op)
+        ]
 
     def schedulers(self, io_class: Optional[IOClass] = None):
         """Iterate interposed schedulers, optionally one class only."""

@@ -58,48 +58,35 @@ def policy_class(kind: str) -> type["IOScheduler"]:
 
 
 class SchedulerStats:
-    """Per-scheduler accounting, updated on every completed request.
+    """Per-scheduler accounting, updated on every completed request: the
+    one place a completed request is counted.
 
     The per-app service counters the Scheduling Broker reads (the
-    ``a_ij`` of §5), per-app completed-bytes meters for throughput
-    figures, and the latency window the SFQ(D2) controller drains.
+    ``a_ij`` of §5) and the last weight seen per app, plus one
+    :class:`~repro.simcore.RateMeter` per ``(app, op)`` holding the
+    time-stamped samples that windowed throughput, per-app service and
+    the per-second rate series read.  Devices keep only byte totals.
     """
 
     def __init__(self, name: str):
         self.name = name
         # Bytes of I/O serviced per application (the a_ij of §5).
         self.service_by_app: dict[str, float] = defaultdict(float)
-        # Completed-bytes meters per app, for throughput figures.
-        self.meter_by_app: dict[str, RateMeter] = {}
-        # Device latencies (dispatch -> completion) in the current control
-        # window, split by op; consumed by the SFQ(D2) controller.
-        self.window_read_latencies: list[float] = []
-        self.window_write_latencies: list[float] = []
+        # Completed-bytes meters per (app, op), built on first completion.
+        self.meters: dict[tuple[str, str], RateMeter] = {}
         self.total_requests = 0
-        self.total_bytes = 0.0
         # Last-seen weight per app (requests carry the weight in their tag).
         self.weight_by_app: dict[str, float] = {}
 
     def _on_completed(self, t: float, app: str, op: str, nbytes: int,
-                      latency: float, weight: float) -> None:
+                      weight: float) -> None:
         self.service_by_app[app] += nbytes
         self.weight_by_app[app] = weight
-        meter = self.meter_by_app.get(app)
+        meter = self.meters.get((app, op))
         if meter is None:
-            meter = self.meter_by_app[app] = RateMeter(f"{self.name}:{app}")
+            meter = self.meters[app, op] = RateMeter(f"{self.name}:{app}:{op}")
         meter.add(t, nbytes)
-        if op == "read":
-            self.window_read_latencies.append(latency)
-        else:
-            self.window_write_latencies.append(latency)
         self.total_requests += 1
-        self.total_bytes += nbytes
-
-    def drain_window(self) -> tuple[list[float], list[float]]:
-        """Return and reset the (reads, writes) latency window."""
-        reads, self.window_read_latencies = self.window_read_latencies, []
-        writes, self.window_write_latencies = self.window_write_latencies, []
-        return reads, writes
 
 
 class IOScheduler:
@@ -266,8 +253,10 @@ class IOScheduler:
             f"{self.name} ({self.algorithm}) cannot remove queued requests"
         )
 
-    def _on_complete(self, req: IORequest, done: IOCompletion) -> None:
-        """Called after accounting; subclasses trigger further dispatch."""
+    def _on_complete(self, req: IORequest,
+                     done: Optional[IOCompletion]) -> None:
+        """Called after accounting, with ``done`` None when the device
+        failed the request; subclasses trigger further dispatch."""
 
     # ------------------------------------------------------------ plumbing
     def _publish_span(self, req: IORequest, state: str) -> None:
@@ -309,8 +298,6 @@ class IOScheduler:
         self.outstanding -= 1
         req.mark_failed(self.sim.now)
         self._publish_span(req, "failed")
-        # Subclasses' _on_complete hooks only pump their dispatch loops
-        # and ignore the completion payload, so None is safe here.
         self._on_complete(req, None)
         req.completion.fail(exc)
 
@@ -321,7 +308,7 @@ class IOScheduler:
         tag = req.tag
         # The scheduler's own accounting comes first, then any sink.
         self.stats._on_completed(now, tag.app_id, req.op, req.nbytes,
-                                 done.latency, tag.weight)
+                                 tag.weight)
         telemetry = self.telemetry
         if telemetry.publishes(REQUEST_COMPLETED):
             telemetry.publish(RequestCompleted(

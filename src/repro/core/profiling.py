@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.config import ClusterConfig, StorageProfile
 from repro.core.sfqd2 import DepthController
-from repro.simcore import Simulator, TotalMeter
+from repro.simcore import Simulator
 from repro.storage import StorageDevice
 from repro.telemetry import FLUSH_SPIKE, TelemetryBus
 
@@ -81,9 +81,7 @@ def profile_device(
     points = []
     for n in range(1, max_concurrency + 1):
         sim = Simulator()
-        # Only the byte totals are read: keep no sample per request.
-        device = StorageDevice(sim, storage, name="probe", telemetry=telemetry,
-                               meter=TotalMeter)
+        device = StorageDevice(sim, storage, name="probe", telemetry=telemetry)
         loop = _ClosedLoop(device, op, chunk, duration)
         for _ in range(n):
             loop.issue()

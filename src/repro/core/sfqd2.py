@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.sfq import SFQDScheduler
+from repro.dataplane import IORequest
 from repro.simcore import Simulator
-from repro.storage import StorageDevice
+from repro.storage import IOCompletion, StorageDevice
 from repro.telemetry import DEPTH_CHANGED, DepthChanged, TelemetryBus
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,11 +87,13 @@ class DepthController:
 class SFQD2Scheduler(SFQDScheduler):
     """SFQ with the depth adapted online by :class:`DepthController`.
 
-    Every control period, if anyone subscribes, the scheduler publishes
-    a ``depth_changed`` telemetry event carrying the updated D and the
-    period's observed average latency.  The two traces of Fig. 7 are
-    :class:`~repro.telemetry.TimeSeriesSink` views of that event stream
-    (the scenario runner's ``depth_trace`` metric).
+    The scheduler keeps the device latencies (dispatch -> completion)
+    of the current control period, split by op; each control tick takes
+    and resets them.  Every control period, if anyone subscribes, the
+    scheduler publishes a ``depth_changed`` telemetry event carrying the
+    updated D and the period's observed average latency.  The two
+    traces of Fig. 7 are :class:`~repro.telemetry.TimeSeriesSink` views
+    of that event stream (the scenario runner's ``depth_trace`` metric).
     """
 
     algorithm = "sfq(d2)"
@@ -110,6 +113,8 @@ class SFQD2Scheduler(SFQDScheduler):
         self.controller = controller
         self._depth = float(controller.d_init)
         self._tick_scheduled = False
+        self.window_read_latencies: list[float] = []
+        self.window_write_latencies: list[float] = []
 
     @classmethod
     def from_spec(cls, sim, device, spec: "PolicySpec", name: str = "",
@@ -121,6 +126,22 @@ class SFQD2Scheduler(SFQDScheduler):
         super()._enqueue(req)
         self._ensure_tick()
 
+    def _on_complete(self, req: IORequest,
+                     done: Optional[IOCompletion]) -> None:
+        if done is not None:
+            if req.op == "read":
+                self.window_read_latencies.append(done.latency)
+            else:
+                self.window_write_latencies.append(done.latency)
+        # SFQ(D)'s hook, inlined: this runs once per completed request.
+        self._try_dispatch()
+
+    def drain_window(self) -> tuple[list[float], list[float]]:
+        """Return and reset the (reads, writes) latency window."""
+        reads, self.window_read_latencies = self.window_read_latencies, []
+        writes, self.window_write_latencies = self.window_write_latencies, []
+        return reads, writes
+
     def _ensure_tick(self) -> None:
         """The control loop runs only while the scheduler has work, so an
         idle simulation can drain its event queue."""
@@ -130,7 +151,7 @@ class SFQD2Scheduler(SFQDScheduler):
 
     def _control_tick(self) -> None:
         self._tick_scheduled = False
-        reads, writes = self.stats.drain_window()
+        reads, writes = self.drain_window()
         old_depth = self.depth
         self._depth = self.controller.update(self._depth, reads, writes)
         telemetry = self.telemetry

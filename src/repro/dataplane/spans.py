@@ -6,7 +6,9 @@ which is also what *enables* span publication: schedulers only build
 without a recorder (or trace sink) pay nothing.  It aggregates one
 sample list per (app, I/O class) and summarises them as
 p50/p95/p99/mean — the per-request delay decomposition adaptive
-policies act on (cf. BoPF's per-queue service accounting).
+policies act on (cf. BoPF's per-queue service accounting).  The
+summary's :func:`mean` and :func:`percentile` equal numpy's bit for
+bit; the figures' statistics use them too.
 """
 
 from __future__ import annotations
@@ -16,10 +18,33 @@ from typing import Any, Optional
 
 from repro.telemetry import SPAN, Span, TelemetryBus
 
-__all__ = ["SpanRecorder", "percentile_summary"]
+__all__ = ["SpanRecorder", "mean", "percentile", "percentile_summary"]
 
 #: The percentiles a summary reports, as (label, q) pairs.
 PERCENTILES = (("p50", 50.0), ("p95", 95.0), ("p99", 99.0))
+
+
+def mean(samples: "list[float]") -> float:
+    """``numpy.mean`` of a non-empty list of floats, bit for bit (NaN
+    when a sample is NaN)."""
+    values = list(map(float, samples))
+    if not values:
+        raise ValueError("mean of no samples")
+    return _mean(values)
+
+
+def percentile(samples: "list[float]", q: float) -> float:
+    """``numpy.percentile(samples, q)`` (``linear``) of a non-empty list
+    of floats, bit for bit (NaN when a sample is NaN, as numpy sorts it
+    last)."""
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile q must be in [0, 100], got {q}")
+    values = list(map(float, samples))
+    if not values:
+        raise ValueError("percentile of no samples")
+    if any(x != x for x in values):
+        return math.nan
+    return _percentile(sorted(values), q)
 
 
 def percentile_summary(samples: "list[float]") -> dict[str, float]:
@@ -29,16 +54,20 @@ def percentile_summary(samples: "list[float]") -> dict[str, float]:
         return {"count": 0, "mean": 0.0,
                 **{label: 0.0 for label, _q in PERCENTILES}}
     values = list(map(float, samples))
-    n = len(values)
-    mean = (0.0 + _pairwise_sum(values, 0, n)) / n  # numpy starts at 0.0
-    out: dict[str, Any] = {"count": n, "mean": mean}
+    avg = _mean(values)
+    out: dict[str, Any] = {"count": len(values), "mean": avg}
     # A NaN sample makes the mean NaN; numpy sorts it last and reports
     # it as every percentile.
-    has_nan = mean != mean and any(x != x for x in values)
+    has_nan = avg != avg and any(x != x for x in values)
     ordered = sorted(values)
     for label, q in PERCENTILES:
         out[label] = math.nan if has_nan else _percentile(ordered, q)
     return out
+
+
+def _mean(values: "list[float]") -> float:
+    n = len(values)
+    return (0.0 + _pairwise_sum(values, 0, n)) / n  # numpy starts at 0.0
 
 
 def _pairwise_sum(values: "list[float]", lo: int, n: int) -> float:

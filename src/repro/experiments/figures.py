@@ -32,6 +32,7 @@ from repro.config import (
 )
 from repro.core import NodePolicy, PolicySpec
 from repro.core.metrics import relative_performance, slowdown
+from repro.dataplane.spans import mean, percentile
 from repro.execution import ExecutionCore
 from repro.experiments.harness import ExperimentResult, controller_for
 from repro.faults import FaultEvent, FaultPlan
@@ -204,8 +205,6 @@ def fig7_depth_adaptation(config: ClusterConfig | None = None) -> ExperimentResu
     period, and the runner's ``depth_trace`` metric reconstructs the
     paper's D and latency traces — no scheduler internals touched.
     """
-    import numpy as np
-
     config = config or default_cluster()
     result = ExperimentResult("fig7_depth_adaptation")
     ctrl = controller_for(config)
@@ -226,10 +225,9 @@ def fig7_depth_adaptation(config: ClusterConfig | None = None) -> ExperimentResu
         samples=len(d_vals),
         d_min=float(min(d_vals)),
         d_max=float(max(d_vals)),
-        d_mean=float(np.mean(d_vals)),
+        d_mean=mean(d_vals),
         lref_ms=ctrl.ref_latency_read * 1000.0,
-        latency_p95_ms=float(np.percentile(l_vals, 95)) * 1000.0
-        if len(l_vals) else None,
+        latency_p95_ms=percentile(l_vals, 95) * 1000.0 if l_vals else None,
     )
     return result
 
@@ -338,8 +336,6 @@ def fig9_facebook(
 ) -> ExperimentResult:
     """Cumulative distribution of Facebook2009 job runtimes: standalone,
     interfered by TeraGen on native, and isolated by SFQ(D2) at 32:1."""
-    import numpy as np
-
     config = config or default_cluster()
     result = ExperimentResult("fig9_facebook")
     cases = [
@@ -358,9 +354,9 @@ def fig9_facebook(
         cdf_y = [(i + 1) / len(runtimes) for i in range(len(runtimes))]
         result.series[label] = (runtimes, cdf_y)
         result.row(case=label,
-                   mean_runtime=float(np.mean(runtimes)),
-                   p50=float(np.percentile(runtimes, 50)),
-                   p90=float(np.percentile(runtimes, 90)))
+                   mean_runtime=mean(runtimes),
+                   p50=percentile(runtimes, 50),
+                   p90=percentile(runtimes, 90))
     return result
 
 

@@ -24,7 +24,6 @@ class JobSpec:
 
     name: str
     input_path: Optional[str] = None     # HDFS file read by maps (None: generator)
-    input_bytes: int = 0                 # ignored when input_path is set
     shuffle_bytes: int = 0               # map output == reduce input, total
     output_bytes: int = 0                # final HDFS output, total
     n_maps: Optional[int] = None         # default: one per input block
@@ -44,7 +43,7 @@ class JobSpec:
             raise ValueError("n_reduces must be non-negative")
         if self.n_reduces == 0 and self.shuffle_bytes > 0:
             raise ValueError("map-only jobs cannot shuffle")
-        for attr in ("shuffle_bytes", "output_bytes", "input_bytes"):
+        for attr in ("shuffle_bytes", "output_bytes"):
             if getattr(self, attr) < 0:
                 raise ValueError(f"{attr} must be non-negative")
         if self.map_cpu_s_per_mb < 0 or self.reduce_cpu_s_per_mb < 0:

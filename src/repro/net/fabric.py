@@ -18,14 +18,13 @@ land on one receiver:
 Each NIC direction is a :class:`~repro.storage.StorageDevice` with a
 flat processor-sharing profile (``n_half = 0``: ``n`` flows share the
 bandwidth equally, no knee, no overhead), so the fault injector fails,
-repairs and slows a link exactly as it does a disk.  A link keeps only
-its byte totals, not a sample per completed leg.
+repairs and slows a link exactly as it does a disk.
 """
 
 from __future__ import annotations
 
 from repro.config import StorageProfile
-from repro.simcore import Event, Simulator, TotalMeter
+from repro.simcore import Event, Simulator
 from repro.simcore.engine import _PENDING
 from repro.storage import StorageDevice
 
@@ -37,11 +36,10 @@ class NetFabric:
 
     def __init__(self, sim: Simulator, node_ids: list[str], bandwidth: float):
         self.sim = sim
-        self.bandwidth = bandwidth
 
         def link(name: str) -> StorageDevice:
             profile = StorageProfile(name=name, peak_rate=bandwidth, n_half=0.0)
-            return StorageDevice(sim, profile, name=name, meter=TotalMeter)
+            return StorageDevice(sim, profile, name=name)
 
         self.egress = {nid: link(f"link:{nid}:out") for nid in node_ids}
         self.ingress = {nid: link(f"link:{nid}:in") for nid in node_ids}

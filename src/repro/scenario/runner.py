@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 import time
@@ -427,16 +428,14 @@ class ScenarioRunner:
                 cluster.broker.message_bytes if cluster.broker else 0.0
             )
         if "device_series" in metrics:
-            import numpy as np
-
+            n = max(1, math.ceil(end) + 1)
             for op in ("read", "write"):
-                agg = np.zeros(max(1, int(np.ceil(end)) + 1))
-                times = np.arange(len(agg), dtype=float)
-                for meter in cluster.device_meters(op):
+                agg = [0.0] * n
+                for meter in cluster.meters(op=op):
                     ts = meter.rate_series(bucket=1.0, t_end=end + 1.0)
-                    vals = np.asarray(ts.values)
-                    agg[: len(vals)] += vals / MB
-                manifest.series[op] = (times.tolist(), agg.tolist())
+                    for i, v in zip(range(n), ts.values):
+                        agg[i] += v / MB
+                manifest.series[op] = ([float(i) for i in range(n)], agg)
         if "depth_trace" in metrics:
             depth, latency = depth_sinks
             manifest.series["depth"] = (
@@ -448,10 +447,9 @@ class ScenarioRunner:
 
     @staticmethod
     def _service(cluster: BigDataCluster, app_id: str, end: float) -> float:
-        return sum(
-            m.window_total(0.0, end)
-            for m in cluster.app_throughput_meters(app_id)
-        )
+        """Bytes the app completed in [0, end): the int 0 when it
+        completed none (no meter exists for it)."""
+        return sum(m.window_total(0.0, end) for m in cluster.meters(app_id))
 
 
 def run_scenario(

@@ -2,12 +2,16 @@
 
 These are the probes behind every figure in the paper: Fig. 2's
 throughput-vs-time profiles, Fig. 7's depth/latency traces, and the
-per-application service accounting used by the Scheduling Broker.
+windowed per-application service the scenario runner reports.  A
+:class:`RateMeter` keeps one ``(time, amount)`` sample per event and
+lives on the interposed schedulers; a :class:`TotalMeter` keeps only
+the running total and lives on every device.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 
 __all__ = ["RateMeter", "TimeSeries", "TotalMeter"]
 
@@ -60,27 +64,22 @@ class RateMeter:
         self.total += amount
 
     def rate_series(self, bucket: float, t_end: float | None = None) -> TimeSeries:
-        """Bucketed rate (amount per second) over [0, t_end)."""
-        import numpy as np
-
+        """Bucketed rate (amount per second) over [0, t_end); samples at
+        or past ``t_end`` fold into the last bucket.  Each bucket sums
+        its samples in time order."""
         if bucket <= 0:
             raise ValueError("bucket must be positive")
         out = TimeSeries(f"rate:{self.name}")
         if not self.times and t_end is None:
             return out
         end = t_end if t_end is not None else self.times[-1] + bucket
-        n_buckets = max(1, int(np.ceil(end / bucket)))
-        sums = np.zeros(n_buckets)
-        if self.times:
-            idx = np.minimum(
-                (np.asarray(self.times, dtype=float) / bucket).astype(np.int64),
-                n_buckets - 1,
-            )
-            # np.add.at is unbuffered and applies in index order, so the
-            # float accumulation is bit-identical to a sequential loop.
-            np.add.at(sums, idx, np.asarray(self.amounts, dtype=float))
-        out.times = (np.arange(n_buckets, dtype=float) * bucket).tolist()
-        out.values = (sums / bucket).tolist()
+        n_buckets = max(1, math.ceil(end / bucket))
+        last = n_buckets - 1
+        sums = [0.0] * n_buckets
+        for t, amount in zip(self.times, self.amounts):
+            sums[min(int(t / bucket), last)] += amount
+        out.times = [i * bucket for i in range(n_buckets)]
+        out.values = [s / bucket for s in sums]
         return out
 
     def window_total(self, t0: float, t1: float) -> float:
@@ -91,14 +90,12 @@ class RateMeter:
 
 
 class TotalMeter:
-    """A :class:`RateMeter` reduced to its running ``total``, for meters
-    whose samples nothing reads (NIC links)."""
+    """A :class:`RateMeter` reduced to its running ``total``: a device's
+    completed bytes per op.  The time-stamped samples of a completed
+    request are kept once, by the scheduler that issued it."""
 
     __slots__ = ("name", "total")
 
     def __init__(self, name: str = ""):
         self.name = name
         self.total = 0.0
-
-    def add(self, t: float, amount: float) -> None:
-        self.total += amount

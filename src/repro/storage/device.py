@@ -37,7 +37,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple, Optional
 
 from repro.config import StorageProfile
-from repro.simcore import RateMeter, Simulator
+from repro.simcore import Simulator, TotalMeter
 from repro.simcore.engine import _PROCESSED, _TRIGGERED
 from repro.telemetry import FLUSH_SPIKE, FlushSpike, TelemetryBus
 
@@ -101,7 +101,13 @@ class _Tick:
 
 class StorageDevice:
     """A single spindle/flash device, or one direction of a NIC
-    (:class:`~repro.net.NetFabric`)."""
+    (:class:`~repro.net.NetFabric`).
+
+    It counts completed bytes per op in ``read_meter.total`` and
+    ``write_meter.total``.  The time-stamped samples behind windowed
+    throughput and rate series are kept by the schedulers in front of
+    it (:class:`~repro.core.base.SchedulerStats`), once per request.
+    """
 
     def __init__(
         self,
@@ -109,7 +115,6 @@ class StorageDevice:
         profile: StorageProfile,
         name: str = "disk",
         telemetry: Optional[TelemetryBus] = None,
-        meter: type = RateMeter,
     ):
         self.sim = sim
         self.profile = profile
@@ -144,12 +149,11 @@ class StorageDevice:
         # queue (tombstoned) so it never dispatches.
         self._live_tick: Optional[_Tick] = None
 
-        # Instrumentation (per-request latencies travel as telemetry: the
-        # interposed scheduler publishes them in ``request_completed``).
-        # ``meter`` builds the completed-bytes meters: a NIC link passes
-        # ``TotalMeter``, as nothing reads its samples.
-        self.read_meter = meter(f"{name}:read")
-        self.write_meter = meter(f"{name}:write")
+        # Completed bytes per op (per-request latencies travel as
+        # telemetry: the interposed scheduler publishes them in
+        # ``request_completed``).
+        self.read_meter = TotalMeter(f"{name}:read")
+        self.write_meter = TotalMeter(f"{name}:write")
         self.completed_requests = 0
 
     # ------------------------------------------------------------------ api
@@ -331,7 +335,7 @@ class StorageDevice:
             _tv, _seq, entry = heappop(heap)
             done = IOCompletion(entry.op, entry.nbytes, now - entry.submit_time)
             meter = self.read_meter if entry.op == "read" else self.write_meter
-            meter.add(now, entry.nbytes)
+            meter.total += entry.nbytes
             n_done += 1
             entry._value = done
             sim._queue._seq += 1

@@ -4,9 +4,10 @@ Each sink subscribes itself to a :class:`~repro.telemetry.bus.
 TelemetryBus` at construction and accumulates a particular view of the
 event stream.  The figures are assembled from them — nothing reads
 another component's internals, it reads (or attaches) a sink.  A
-scheduler's per-app service, throughput meters and latency window live
-in :class:`~repro.core.base.SchedulerStats`, which the scheduler updates
-before it publishes each completion.
+scheduler's per-app service and its per-(app, op) rate meters live in
+:class:`~repro.core.base.SchedulerStats`, which the scheduler updates
+before it publishes each completion; the SFQ(D2) latency window lives
+in :class:`~repro.core.sfqd2.SFQD2Scheduler`.
 """
 
 from __future__ import annotations

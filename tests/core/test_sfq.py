@@ -172,10 +172,35 @@ def test_stats_account_bytes_and_weights():
     assert sched.stats.service_by_app["a"] == 3 * MB
     assert sched.stats.service_by_app["b"] == 2 * MB
     assert sched.stats.weight_by_app == {"a": 5.0, "b": 1.0}
-    reads, writes = sched.stats.drain_window()
-    assert len(reads) == 1 and len(writes) == 1
-    # Window is consumed.
-    assert sched.stats.drain_window() == ([], [])
+    # One time-stamped sample per completed request, per (app, op).
+    meters = sched.stats.meters
+    assert sorted(meters) == [("a", "read"), ("b", "write")]
+    assert meters["a", "read"].amounts == [3 * MB]
+    assert meters["b", "write"].amounts == [2 * MB]
+
+
+@pytest.mark.parametrize("make", [
+    lambda sim, dev: NativeScheduler(sim, dev),
+    lambda sim, dev: SFQDScheduler(sim, dev, depth=4),
+], ids=["native", "sfqd"])
+def test_schedulers_without_a_controller_keep_no_latency_per_request(make):
+    """Only SFQ(D2)'s controller reads request latencies; a native or
+    SFQ(D) scheduler holds no list that grows with its completions."""
+    sim = Simulator()
+    dev = StorageDevice(sim, FLAT)
+    sched = make(sim, dev)
+    n = 50
+    for i in range(n):
+        submit(sim, sched, "a", 1.0, op=("read", "write")[i % 2], nbytes=MB)
+    sim.run()
+    assert sched.stats.total_requests == n
+    grown = [
+        name
+        for obj in (sched, sched.stats)
+        for name, value in vars(obj).items()
+        if isinstance(value, list) and len(value) >= n // 2
+    ]
+    assert grown == []
 
 
 def test_completion_and_submit_hooks_fire():
@@ -235,7 +260,7 @@ def test_property_all_requests_complete_and_bytes_conserved(sizes, depth):
         reqs.append(submit(sim, sched, app, 1.0 + (i % 2), nbytes=sz * MB))
     sim.run()
     assert all(r.completion.processed and r.completion.ok for r in reqs)
-    assert sched.stats.total_bytes == sum(sizes) * MB
+    assert sum(sched.stats.service_by_app.values()) == sum(sizes) * MB
     assert sched.stats.total_requests == len(sizes)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import MB, StorageProfile
 from repro.core import DepthController, IOClass, IORequest, IOTag, SFQD2Scheduler
-from repro.simcore import Simulator
+from repro.simcore import FaultError, Simulator
 from repro.storage import StorageDevice
 from repro.telemetry import DEPTH_CHANGED, TimeSeriesSink
 
@@ -151,6 +151,49 @@ def test_sfqd2_admits_more_after_depth_increase():
     # Small requests at depth 1 are fast -> low latency -> D grows ->
     # more in flight.
     assert max(depths.values) > 1.0
+
+
+def test_sfqd2_keeps_the_period_latency_window():
+    """Each completed request's device latency, split by op, stays in
+    the window until it is drained; the drain resets it."""
+    sim = Simulator()
+    dev = StorageDevice(sim, KNEE)
+    sched = SFQD2Scheduler(sim, dev, make_controller(period=10.0))
+    read = submit(sim, sched, "a", 5.0, nbytes=3 * MB)
+    write = submit(sim, sched, "b", 1.0, op="write", nbytes=2 * MB)
+    sim.run(until=5.0)  # both done, before the first control tick
+    assert sched.window_read_latencies == [read.completion.value.latency]
+    assert sched.window_write_latencies == [write.completion.value.latency]
+    reads, writes = sched.drain_window()
+    assert len(reads) == 1 and len(writes) == 1
+    # Window is consumed.
+    assert sched.drain_window() == ([], [])
+
+
+def test_sfqd2_control_tick_takes_the_window_and_skips_failures():
+    sim = Simulator()
+    dev = StorageDevice(sim, KNEE)
+    sched = SFQD2Scheduler(sim, dev, make_controller(period=1.0))
+    samples = TimeSeriesSink(sched.telemetry, DEPTH_CHANGED,
+                             source=sched.name, value=lambda ev: ev.samples)
+    submit(sim, sched, "a", 1.0)
+    submit(sim, sched, "a", 1.0, op="write")
+    lost = submit(sim, sched, "a", 1.0)
+    sim.run(until=0.01)
+    dev.fail(FaultError("disk gone"))  # all three still in flight
+    sim.run(until=0.02)
+    assert lost.completion.processed and not lost.completion.ok
+    assert sched.window_read_latencies == sched.window_write_latencies == []
+
+    dev.repair()
+    submit(sim, sched, "a", 1.0)
+    submit(sim, sched, "a", 1.0, op="write")
+    sim.run(until=0.5)
+    assert len(sched.window_read_latencies) == 1
+    assert len(sched.window_write_latencies) == 1
+    sim.run(until=1.5)  # the first control tick, at t = 1
+    assert samples.series.values[0] == 2
+    assert sched.window_read_latencies == sched.window_write_latencies == []
 
 
 def test_sfqd2_inherits_proportional_sharing():

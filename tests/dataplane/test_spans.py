@@ -17,7 +17,7 @@ from repro.dataplane import (
     SpanRecorder,
     percentile_summary,
 )
-from repro.dataplane.spans import PERCENTILES
+from repro.dataplane.spans import PERCENTILES, mean, percentile
 from repro.scenario import Scenario, run_scenario, wc_teragen_isolation
 from repro.simcore import Simulator
 from repro.storage import StorageDevice
@@ -71,6 +71,41 @@ def test_percentile_summary_is_numpys_mean_and_percentiles(n):
         [rnd.choice((0.1, 0.2, 0.3, 1e-9)) for _ in range(n)],
     ):
         assert percentile_summary(samples) == _numpy_summary(samples)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000, 10000])
+def test_mean_and_percentile_are_numpys(n):
+    """The figures' statistics (fig7's mean and p95, fig9's mean, p50
+    and p90), over the sizes and value mixes of the summary test."""
+    rnd = random.Random(n)
+    for samples in (
+        [rnd.expovariate(1.0) * 10 ** rnd.uniform(-6, 3) for _ in range(n)],
+        [rnd.uniform(-1e6, 1e6) for _ in range(n)],
+        [rnd.choice((0.1, 0.2, 0.3, 1e-9)) for _ in range(n)],
+    ):
+        assert mean(samples) == float(np.mean(samples))
+        for q in (50, 90, 95):
+            assert percentile(samples, q) == float(np.percentile(samples, q))
+
+
+def test_mean_and_percentile_of_a_nan_are_nan_like_numpy():
+    samples = [1.0, float("nan"), 2.0]
+    assert math.isnan(mean(samples)) and math.isnan(np.mean(samples))
+    for q in (0, 50, 100):
+        assert math.isnan(percentile(samples, q))
+        assert math.isnan(np.percentile(samples, q))
+
+
+def test_mean_and_percentile_reject_no_samples_and_q_out_of_range():
+    with pytest.raises(ValueError):
+        mean([])
+    with pytest.raises(ValueError):
+        percentile([], 50)
+    for q in (-1, 101):  # numpy rejects these too
+        with pytest.raises(ValueError):
+            percentile([1.0], q)
+        with pytest.raises(ValueError):
+            np.percentile([1.0], q)
 
 
 def test_percentile_summary_of_a_nan_is_nan_like_numpy():

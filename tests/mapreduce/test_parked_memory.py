@@ -10,7 +10,10 @@ over those processes hold none that has finished.  The bounds sit
 between the bytes measured here when a parked map and fetch were each a
 process in a small generator (1,080 per map, 784 per fetch, and 579 per
 fetched output at merge start) and as records (520, 111 and 227), on
-CPython 3.11; other minor versions lay objects out differently.
+CPython 3.11; other minor versions lay objects out differently.  Since
+a completed request leaves one time-stamped sample, the scheduler's,
+and none on the device, a fetched output leaves 129 bytes at merge
+start.
 """
 
 import gc
@@ -125,4 +128,4 @@ def test_reducer_bytes_per_fetched_output_when_its_merge_starts():
     finally:
         tracemalloc.stop()
     assert job.reduces_completed == 0
-    assert (held[0] - base) / N_OUTPUTS <= 300
+    assert (held[0] - base) / N_OUTPUTS <= 160

@@ -1,11 +1,12 @@
 """Scenario runs never import numpy, nor the figure code or the pool.
 
 Their random streams, the SWIM trace's exponential and lognormal draws
-included, and their latency summary are pure Python (see
-``repro.simcore.rng`` and ``repro.dataplane.spans``); numpy is imported
-only where arrays are built (rate series, Jain's index, some figure
-statistics).  ``repro.experiments`` re-exports only the harness and
-report names, so importing it to run one scenario loads neither
+included, their latency summary, their per-second rate series and the
+figures' means and percentiles are pure Python (see
+``repro.simcore.rng``, ``repro.dataplane.spans`` and
+``repro.simcore.instrument``); no module under ``src/`` imports numpy.
+``repro.experiments`` re-exports only the harness and report names, so
+importing it to run one scenario loads neither
 ``repro.experiments.figures`` nor ``repro.execution`` and its process
 pool.  Each check runs in a fresh process, so an import made by another
 test cannot hide one.
@@ -28,6 +29,10 @@ PINNED_HASH = "26549c27b7d33840"
 #: sampled from numpy's ``Generator``: its exponential arrivals and
 #: lognormal input sizes.
 FACEBOOK_PINNED_HASH = "6e3f3ef2f5e79d21"
+
+#: Fig. 2's TeraSort profile (``device_series``) at 1/256 scale, as the
+#: numpy-backed rate series and bucket sums produced it.
+DEVICE_SERIES_PINNED_HASH = "f57f55a691574f57"
 
 #: What a scenario run must leave unimported.
 HEAVY_MODULES = ("numpy", "repro.experiments.figures", "repro.execution",
@@ -62,6 +67,23 @@ def test_isolation_hdd_reproduces_its_pinned_hash():
 def test_facebook_trace_reproduces_its_pinned_hash():
     assert _python(NO_NUMPY + SCRIPT, str(WORKLOADS / "facebook_trace.json")) == [
         FACEBOOK_PINNED_HASH]
+
+
+def test_device_series_reproduces_its_pinned_hash():
+    script = NO_NUMPY + """
+from repro.config import GB, default_cluster
+from repro.core import PolicySpec
+from repro.scenario import run_scenario, single_app
+scenario = single_app(
+    default_cluster(scale=1 / 256), PolicySpec.native(), "terasort",
+    name="fig2:terasort",
+    params={"input_path": "/in/tera", "input_bytes": 100 * GB},
+    preloads=(("/in/tera", 100 * GB),),
+    metrics=("runtime", "device_series"), window="min_finish",
+)
+print(run_scenario(scenario).metrics_hash())
+"""
+    assert _python(script) == [DEVICE_SERIES_PINNED_HASH]
 
 
 def test_loading_a_scenario_leaves_numpy_unimported():

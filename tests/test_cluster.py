@@ -95,23 +95,27 @@ def test_cluster_throughput_positive_after_run():
         cl.windowed_throughput(0.0, 0.0)
 
 
-def test_app_throughput_meters_exist_per_app():
+def test_app_meters_total_the_jobs_bytes():
     cfg = default_cluster()
     cl = BigDataCluster(cfg, PolicySpec.native())
     cl.preload_input("/in/w", 10 * GB)
     j = cl.submit(JobSpec(name="scan", input_path="/in/w", n_reduces=0),
                   max_cores=96)
     cl.run()
-    meters = cl.app_throughput_meters(j.app_id)
+    meters = cl.meters(j.app_id)
     assert meters
     assert sum(m.total for m in meters) == cfg.scaled(10 * GB)
+    reads = cl.meters(j.app_id, op="read")
+    assert sum(m.total for m in reads) == cfg.scaled(10 * GB)
+    assert cl.meters(j.app_id, op="write") == []  # a scan writes nothing
+    assert cl.meters("app99-none") == []
 
 
-def test_device_meters_validation():
+def test_meters_reject_an_unknown_op():
     cl = BigDataCluster(default_cluster(), PolicySpec.native())
     with pytest.raises(ValueError):
-        cl.device_meters("erase")
-    assert len(cl.device_meters("read")) == 16  # 2 disks x 8 nodes
+        cl.meters(op="erase")
+    assert cl.meters(op="read") == []  # nothing completed yet
 
 
 def test_io_weight_carried_on_all_requests():
@@ -149,10 +153,11 @@ def test_process_death_surfaces_as_simulation_error_naming_process():
         cl.run_for(1.0)
 
 
-def test_links_keep_byte_totals_not_samples():
-    """A NIC link's meter is only ever read for its total, so a run
-    leaves no per-leg samples on it (disk meters keep theirs: the rate
-    series and windowed service read them)."""
+def test_devices_keep_byte_totals_schedulers_keep_samples():
+    """Devices, disks and NIC links alike, count only completed bytes;
+    the one time-stamped sample per completed request is the issuing
+    scheduler's, and the schedulers' samples add up to the disks'
+    totals."""
     cfg = default_cluster(scale=1.0 / 256)
     cl = BigDataCluster(cfg, PolicySpec.native())
     job = cl.submit(teragen(cfg, output_bytes=64 * GB), max_cores=48)
@@ -160,5 +165,13 @@ def test_links_keep_byte_totals_not_samples():
     links = [*cl.net.egress.values(), *cl.net.ingress.values()]
     moved = sum(link.read_meter.total for link in links)
     assert moved == 2 * cl.net.total_bytes > 0  # both legs of each transfer
-    assert not any(hasattr(link.read_meter, "times") for link in links)
-    assert any(meter.times for meter in cl.device_meters("write"))
+    disks = [dev for node in cl.nodes.values()
+             for dev in (node.hdfs_device, node.tmp_device)]
+    assert not any(
+        hasattr(meter, "times")
+        for dev in links + disks for meter in (dev.read_meter, dev.write_meter)
+    )
+    writes = cl.meters(op="write")
+    assert any(meter.times for meter in writes)
+    assert sum(m.total for m in writes) == sum(
+        dev.write_meter.total for dev in disks) > 0

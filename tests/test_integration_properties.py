@@ -65,7 +65,8 @@ def test_property_pipeline_volume_accounting(n_reduces, shuffle_mb, out_mb):
         (o.nbytes // n_reduces) * n_reduces for o in job.map_outputs
     )
     servlet_reads = sum(
-        s.stats.total_bytes for s in cl.schedulers(IOClass.NETWORK)
+        sum(s.stats.service_by_app.values())
+        for s in cl.schedulers(IOClass.NETWORK)
     )
     assert servlet_reads == fetched
 
