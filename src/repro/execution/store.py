@@ -18,9 +18,8 @@ workers never tear an entry and a published entry survives power loss.
 The store does not grow forever: :meth:`ResultStore.evict` trims it to
 a byte and/or entry budget, LRU by mtime — a hit touches the entry's
 mtime, so recently *read* results survive eviction, not just recently
-written ones.  ``python -m repro.experiments.run store gc`` drives it
-from the shell and the scheduler triggers it on a size threshold
-(``serve --store-max-bytes``).
+written ones.  An operator drives it from the shell with ``python -m
+repro.experiments.run store gc``; nothing evicts on its own.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
-        self.evicted = 0
 
     @classmethod
     def default(cls) -> "ResultStore":
@@ -211,7 +209,6 @@ class ResultStore:
             if not dry_run:
                 if not self.discard(content_hash):
                     continue  # raced with another evictor
-                self.evicted += 1
             report.removed.append(content_hash)
             report.freed_bytes += size
             keep_bytes -= size

@@ -32,7 +32,7 @@ opts out).
 Or start the long-running scenario service and submit from a client::
 
     python -m repro.experiments.run serve --address tcp://127.0.0.1:8642 --jobs 4 \\
-        --max-queue 64 --retries 2 --timeout 300 --store-max-bytes 500000000
+        --retries 2 --timeout 300
 
     # elsewhere:
     from repro.service import ServiceClient
@@ -43,8 +43,8 @@ Or start the long-running scenario service and submit from a client::
 The service journals every acknowledged sub-id to an fsynced
 write-ahead log (``--journal``; default under ``$REPRO_CACHE_DIR``), so
 a killed scheduler restarted over the same journal finishes its queued
-work, still answers every old sub-id, and never reuses one.  Trim the
-persistent result store from the shell::
+work, still answers every old sub-id, and never reuses one.  Only the
+operator trims the persistent result store, from the shell::
 
     python -m repro.experiments.run store stats
     python -m repro.experiments.run store gc --max-bytes 100000000
@@ -187,11 +187,10 @@ def run_scenarios(args, parser) -> int:
             parser.error(f"{path}: {exc}")
 
     jobs = args.jobs if args.jobs > 0 else default_jobs()
-    core = ExecutionCore(store=_result_store(args))
+    # Profiling is per-process (and a cache hit would profile nothing):
+    # the grid runs serially, one profiler per cell, without the store.
+    core = ExecutionCore(store=None if args.profile else _result_store(args))
     if args.profile:
-        # Profiling is per-process (and a cache hit would profile
-        # nothing): the grid runs serially, one profiler per cell,
-        # bypassing the store.
         import cProfile
 
         manifests = []
@@ -246,8 +245,6 @@ def run_serve(args, parser) -> int:
         journal=journal,
         retries=args.retries,
         timeout=args.timeout if args.timeout > 0 else None,
-        max_queue=args.max_queue,
-        store_max_bytes=args.store_max_bytes,
     )
     try:
         service.start(args.address)
@@ -255,7 +252,6 @@ def run_serve(args, parser) -> int:
               f"(jobs={args.jobs}, "
               f"store={'off' if service.store is None else service.store.root}, "
               f"journal={journal.path or 'off'}, "
-              f"max_queue={args.max_queue or 'unbounded'}, "
               f"retries={args.retries}, "
               f"timeout={args.timeout or 'none'})",
               flush=True)
@@ -340,10 +336,6 @@ def main(argv: list[str] | None = None) -> int:
                              "journal.jsonl), 'off', or a file path; a "
                              "restarted scheduler replays it and finishes "
                              "incomplete submissions")
-    parser.add_argument("--max-queue", type=int, default=0, metavar="N",
-                        help="serve mode: bounded admission — reject "
-                             "submits with a structured 'busy' reply once "
-                             "N submissions are queued (0 = unbounded)")
     parser.add_argument("--retries", type=int, default=2, metavar="N",
                         help="serve mode: retries after an infrastructure "
                              "failure (worker crash/timeout) before a "
@@ -352,11 +344,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="serve mode: per-batch execution timeout in "
                              "seconds; an overrunning worker is replaced "
                              "and its submissions retried (0 = no timeout)")
-    parser.add_argument("--store-max-bytes", type=int, default=0,
-                        metavar="N",
-                        help="serve mode: evict least-recently-used store "
-                             "entries once the store exceeds N bytes "
-                             "(0 = no budget)")
     parser.add_argument("--max-bytes", type=int, default=None, metavar="N",
                         help="store gc: byte budget to trim the store to")
     parser.add_argument("--max-entries", type=int, default=None, metavar="N",

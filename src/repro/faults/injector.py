@@ -13,7 +13,7 @@ What each fault does:
   :class:`~repro.faults.errors.FaultError`; running task processes on
   the node are interrupted; the NameNode and ResourceManager exclude
   the node.  A transient crash schedules the symmetric recovery.
-* **slow_disk / link_degrade** — a rate factor is applied for the
+* **slow_disk** — a rate factor is applied to one device for the
   window, then restored.
 * **broker_outage** — the Scheduling Broker rejects reports for the
   window; clients skip rounds and reconcile by epoch on recovery.
@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 from repro.faults.errors import DeviceFailure, LinkFailure, NodeFailure
 from repro.faults.plan import (
     BROKER_OUTAGE,
-    LINK_DEGRADE,
     NODE_CRASH,
     SLOW_DISK,
     FaultEvent,
@@ -103,8 +102,6 @@ class FaultInjector:
             self._node_crash(ev)
         elif ev.kind == SLOW_DISK:
             self._slow_disk(ev)
-        elif ev.kind == LINK_DEGRADE:
-            self._link_degrade(ev)
         else:
             self._broker_outage(ev)
 
@@ -160,20 +157,6 @@ class FaultInjector:
         dev = nodeio.hdfs_device if ev.device == "hdfs" else nodeio.tmp_device
         dev.set_rate_factor(ev.factor)
         self.sim.call_in(ev.duration, lambda d=dev: d.set_rate_factor(1.0))
-
-    def _link_degrade(self, ev: FaultEvent) -> None:
-        links = (
-            self.cluster.net.egress[ev.target],
-            self.cluster.net.ingress[ev.target],
-        )
-        for link in links:
-            link.set_rate_factor(ev.factor)
-
-        def restore() -> None:
-            for link in links:
-                link.set_rate_factor(1.0)
-
-        self.sim.call_in(ev.duration, restore)
 
     def _broker_outage(self, ev: FaultEvent) -> None:
         broker = self.cluster.broker

@@ -28,7 +28,6 @@ __all__ = [
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",
-    "LINK_DEGRADE",
     "NODE_CRASH",
     "SLOW_DISK",
 ]
@@ -44,15 +43,11 @@ NODE_CRASH = "node_crash"
 #: selects which device ("hdfs" or "tmp").
 SLOW_DISK = "slow_disk"
 
-#: Both NIC directions of ``target`` run at ``factor`` times their
-#: normal rate for ``duration`` seconds.
-LINK_DEGRADE = "link_degrade"
-
 #: The scheduling broker rejects all reports for ``duration`` seconds;
 #: clients degrade to local-only SFQ(D2) and reconcile on recovery.
 BROKER_OUTAGE = "broker_outage"
 
-FAULT_KINDS = (NODE_CRASH, SLOW_DISK, LINK_DEGRADE, BROKER_OUTAGE)
+FAULT_KINDS = (NODE_CRASH, SLOW_DISK, BROKER_OUTAGE)
 
 _DEVICES = ("hdfs", "tmp")
 
@@ -102,14 +97,14 @@ class FaultEvent:
             if not 0 <= self.duration < _INF:
                 raise ValueError(f"node_crash needs a finite duration >= 0, got {self.duration}")
             return
-        # slow_disk / link_degrade
+        # slow_disk
         if not 0 < self.duration < _INF:
             raise ValueError(f"{self.kind} needs a finite duration > 0, got {self.duration}")
         if not (0.0 < self.factor <= 1.0):
             raise ValueError(
                 f"{self.kind} factor must be in (0, 1], got {self.factor}"
             )
-        if self.kind == SLOW_DISK and self.device not in _DEVICES:
+        if self.device not in _DEVICES:
             raise ValueError(
                 f"slow_disk device must be one of {_DEVICES}, got {self.device!r}"
             )
@@ -143,21 +138,6 @@ class FaultEvent:
             factor=factor,
             device=device,
             jitter=jitter,
-        )
-
-    @classmethod
-    def link_degrade(
-        cls,
-        at: float,
-        target: str,
-        *,
-        duration: float,
-        factor: float,
-        jitter: float = 0.0,
-    ) -> "FaultEvent":
-        """Degrade both NIC directions of ``target``."""
-        return cls(
-            LINK_DEGRADE, at, target, duration=duration, factor=factor, jitter=jitter
         )
 
     @classmethod

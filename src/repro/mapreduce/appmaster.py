@@ -41,21 +41,9 @@ class AppMaster:
         """Return one (block_indices, preferred_nodes) entry per map."""
         spec = self.job.spec
         if spec.input_path is None:
-            return [((), ()) for _ in range(spec.n_maps or 0)]
+            return [((), ()) for _ in range(spec.n_maps)]
         f = self.env.dfs.namenode.lookup(spec.input_path)
-        blocks = list(range(len(f.blocks)))
-        if spec.n_maps is not None and spec.n_maps < len(blocks):
-            # Group consecutive blocks into the requested number of splits.
-            n = spec.n_maps
-            out = []
-            per = len(blocks) / n
-            for i in range(n):
-                lo, hi = round(i * per), round((i + 1) * per)
-                group = tuple(blocks[lo:hi])
-                preferred = f.blocks[group[0]].replicas if group else ()
-                out.append((group, preferred))
-            return [s for s in out if s[0]]
-        return [((i,), f.blocks[i].replicas) for i in blocks]
+        return [((i,), loc.replicas) for i, loc in enumerate(f.blocks)]
 
     # ----------------------------------------------------------------- run
     def run(self):

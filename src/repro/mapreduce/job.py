@@ -26,7 +26,7 @@ class JobSpec:
     input_path: Optional[str] = None     # HDFS file read by maps (None: generator)
     shuffle_bytes: int = 0               # map output == reduce input, total
     output_bytes: int = 0                # final HDFS output, total
-    n_maps: Optional[int] = None         # default: one per input block
+    n_maps: Optional[int] = None         # generators only; inputs map per block
     n_reduces: int = 0                   # 0 => map-only job
     map_cpu_s_per_mb: float = 0.002
     reduce_cpu_s_per_mb: float = 0.002
@@ -37,6 +37,11 @@ class JobSpec:
     def __post_init__(self):
         if self.input_path is None and self.n_maps is None:
             raise ValueError(f"job {self.name!r}: generator jobs need n_maps")
+        if self.input_path is not None and self.n_maps is not None:
+            raise ValueError(
+                f"job {self.name!r}: input jobs run one map per block; "
+                "n_maps is for generators only"
+            )
         if self.n_maps is not None and self.n_maps <= 0:
             raise ValueError("n_maps must be positive when given")
         if self.n_reduces < 0:

@@ -5,10 +5,10 @@ An async central scheduler
 (:class:`~repro.service.scheduler.SchedulerService`) accepts scenario
 submissions over ``tcp://host:port`` (:mod:`~repro.service.transport`),
 deduplicates them by content hash, answers repeats from the
-:class:`~repro.execution.store.ResultStore`, batches identical-cluster
-scenarios onto warm workers, and streams manifests — plus, on request,
-the run's telemetry-bus events — back to the thin
-:class:`~repro.service.client.ServiceClient`.  Its
+:class:`~repro.execution.store.ResultStore`, queues the rest in arrival
+order, batches identical-cluster scenarios onto warm workers, and
+streams manifests — plus, on request, the run's telemetry-bus events —
+back to the thin :class:`~repro.service.client.ServiceClient`.  Its
 :class:`~repro.service.journal.SubmissionJournal` allocates every
 sub-id, so acknowledged ids survive restarts and are never reused.
 
@@ -27,7 +27,6 @@ See DESIGN.md ("Execution core & scenario service").
 """
 
 from repro.service.client import (
-    ServiceBusy,
     ServiceClient,
     ServiceError,
     ServiceTimeout,
@@ -56,7 +55,6 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "JournalError",
     "SchedulerService",
-    "ServiceBusy",
     "ServiceClient",
     "ServiceError",
     "ServiceTimeout",

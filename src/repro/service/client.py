@@ -21,35 +21,17 @@ handed to ``on_event`` (they follow
 from __future__ import annotations
 
 import pathlib
-import time
 from typing import Any, Callable, Mapping, Optional, Union
 
 from repro.scenario.runner import RunManifest
 from repro.scenario.spec import Scenario, load_scenario
 from repro.service.transport import ServiceTimeout, connect
 
-__all__ = ["ServiceBusy", "ServiceClient", "ServiceError", "ServiceTimeout"]
+__all__ = ["ServiceClient", "ServiceError", "ServiceTimeout"]
 
 
 class ServiceError(RuntimeError):
     """The scheduler reported an error (bad request or failed run)."""
-
-
-class ServiceBusy(ServiceError):
-    """The scheduler's bounded submission queue is full.
-
-    Raised by :meth:`ServiceClient.submit` once ``max_busy_wait`` is
-    exhausted; carries the scheduler's ``busy`` reply as ``reply``
-    (queue depth, bound, suggested retry delay).
-    """
-
-    def __init__(self, reply: dict):
-        super().__init__(
-            f"scheduler queue is full "
-            f"({reply.get('queue_depth')}/{reply.get('max_queue')}); "
-            f"retry after {reply.get('retry_after')}s"
-        )
-        self.reply = reply
 
 
 def _as_scenario_dict(
@@ -70,11 +52,9 @@ class ServiceClient:
         self._chan = connect(address)
 
     # ------------------------------------------------------------ plumbing
-    def _request(self, msg: dict, expect: "str | tuple[str, ...]",
+    def _request(self, msg: dict, expect: str,
                  on_event: Optional[Callable[[dict], None]] = None,
                  timeout: Optional[float] = None) -> dict:
-        if isinstance(expect, str):
-            expect = (expect,)
         self._chan.send(msg)
         while True:
             reply = self._chan.recv(timeout=timeout)
@@ -85,7 +65,7 @@ class ServiceClient:
                 if on_event is not None:
                     on_event(reply["record"])
                 continue
-            if op in expect:
+            if op == expect:
                 return reply
             raise ServiceError(f"unexpected reply {op!r} (wanted {expect!r})")
 
@@ -94,30 +74,14 @@ class ServiceClient:
         self,
         scenario: Union[Scenario, Mapping[str, Any], str, pathlib.Path],
         stream: bool = False,
-        max_busy_wait: Optional[float] = None,
     ) -> str:
-        """Submit a scenario; returns its submission id.
-
-        When the scheduler runs with a bounded queue it may answer
-        ``busy`` instead of admitting the submission; the client then
-        waits the suggested ``retry_after`` and re-offers — the tcp
-        "delay" side of the back-pressure contract.  ``max_busy_wait``
-        bounds the total time spent re-offering (``None`` = keep
-        trying; ``0`` = raise :class:`ServiceBusy` on the first
-        rejection).
-        """
-        msg = {"op": "submit", "scenario": _as_scenario_dict(scenario),
-               "stream": bool(stream)}
-        waited = 0.0
-        while True:
-            reply = self._request(msg, expect=("submitted", "busy"))
-            if reply["op"] == "submitted":
-                return reply["sub_id"]
-            retry_after = float(reply.get("retry_after", 0.05))
-            if max_busy_wait is not None and waited + retry_after > max_busy_wait:
-                raise ServiceBusy(reply)
-            time.sleep(retry_after)
-            waited += retry_after
+        """Submit a scenario; returns its submission id."""
+        reply = self._request(
+            {"op": "submit", "scenario": _as_scenario_dict(scenario),
+             "stream": bool(stream)},
+            expect="submitted",
+        )
+        return reply["sub_id"]
 
     def status(self, sub_id: str) -> dict[str, Any]:
         """Snapshot: state (queued/running/done/failed), cache flags."""

@@ -5,8 +5,8 @@ One asyncio event loop (running on its own thread once
 tcp transport (:mod:`repro.service.transport`) feeds it dict messages.  A
 submission flows::
 
-    submit → dedup (content hash) → result-store lookup → admission
-          → journal (sub-id) → queue (start-tag fair order)
+    submit → dedup (content hash) → result-store lookup
+          → journal (sub-id) → queue (arrival order)
           → batch (cluster key) → warm worker → store → journal
           → client
 
@@ -22,17 +22,11 @@ submission flows::
   journaled attempt counts, and every other old sub-id resolves on
   demand — failed ones with their error, done ones through the store
   (or as ``failed`` when the store no longer holds the result).
-* **Admission & fairness** — with ``max_queue`` set, a submit that
-  would push the queue past the bound gets a structured ``busy`` reply
-  (the client re-offers after ``retry_after``).  Queued work drains in
-  start-tag fair order — the paper's SFQ applied to the service's own
-  front door: each connection is a flow with a virtual finish tag, so
-  one chatty client cannot starve the others no matter how fast it
-  submits.
-* **Batching** — queued submissions drain in waves; each wave is
-  grouped by :func:`cluster_key`, one group per worker task, so
-  identical-cluster scenarios share a warm worker (and its calibration)
-  while distinct groups run concurrently.
+* **Batching** — queued submissions drain in waves, in arrival order
+  (a retry re-joins at the back); each wave is grouped by
+  :func:`cluster_key`, one group per worker task, so identical-cluster
+  scenarios share a warm worker (and its calibration) while distinct
+  groups run concurrently.
 * **Guards** — a batch that dies for *infrastructure* reasons (worker
   crash, broken pool, ``timeout``) is retried per submission, up to
   ``retries`` times, after capped exponential backoff (:func:`backoff`),
@@ -82,10 +76,6 @@ __all__ = [
     "cluster_key",
     "run_batch",
 ]
-
-#: Seconds a client told ``busy`` waits before re-offering.
-BUSY_RETRY_AFTER = 0.05
-
 
 def backoff(attempt: int) -> float:
     """Seconds to wait before retrying after failed ``attempt``
@@ -157,7 +147,6 @@ class SubmissionRecord:
     scenario_json: str = ""
     cluster: str = ""
     stream: bool = False
-    client: str = "journal"
     state: str = "queued"
     cached: bool = False
     manifest: Optional[dict] = None
@@ -167,9 +156,6 @@ class SubmissionRecord:
     #: one ``{"attempt", "delay", "error", "at"}`` per retry waited out
     retries: list = field(default_factory=list)
     quarantined: bool = False
-    #: fair-queuing start tag + FIFO tie-break
-    start_tag: float = 0.0
-    seq: int = 0
     #: a retried submission runs in its own batch (poison isolation)
     solo: bool = False
     #: every sub-id acknowledged for this record; the first runs it
@@ -220,8 +206,6 @@ class SchedulerService:
         journal: "SubmissionJournal | str | None" = None,
         retries: int = 2,
         timeout: Optional[float] = None,
-        max_queue: int = 0,
-        store_max_bytes: int = 0,
     ):
         self.store = store
         self.jobs = max(1, int(jobs))
@@ -230,24 +214,17 @@ class SchedulerService:
         self.journal = journal
         self.retries = max(0, int(retries))
         self.timeout = timeout
-        self.max_queue = max(0, int(max_queue))  # 0 = unbounded
-        self.store_max_bytes = max(0, int(store_max_bytes))
         self.address: Optional[str] = None
 
         self._records: dict[str, SubmissionRecord] = {}
         self._by_hash: dict[str, SubmissionRecord] = {}
         self._pending: list[SubmissionRecord] = []
         self._drain_task: Optional[asyncio.Task] = None
-        self._next_seq = 0
-        self._conn_count = 0
-        #: SFQ front door: global virtual time + per-client finish tags.
-        self._vtime = 0.0
-        self._client_finish: dict[str, float] = {}
         self.stats: dict[str, int] = {
             "submitted": 0, "cache_hits": 0, "deduplicated": 0,
             "executed": 0, "failed": 0, "batches": 0,
             "recovered": 0, "retried": 0, "quarantined": 0,
-            "rejected": 0, "workers_replaced": 0, "evicted": 0,
+            "workers_replaced": 0,
         }
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -379,8 +356,7 @@ class SchedulerService:
             else:
                 record = SubmissionRecord(
                     rec["content_hash"], rec["name"], rec["scenario"],
-                    rec["cluster"], client=rec["client"],
-                    attempts=rec["attempts"],
+                    rec["cluster"], attempts=rec["attempts"],
                 )
             self._acknowledge(record, rec["sub_id"])
             self.stats["recovered"] += 1
@@ -396,8 +372,7 @@ class SchedulerService:
             submit = None
             if runs and not record.stream:
                 submit = {
-                    "name": record.scenario_name, "client": record.client,
-                    "cluster": record.cluster,
+                    "name": record.scenario_name, "cluster": record.cluster,
                     "scenario": record.scenario_json,
                 }
             sub_id = self.journal.acknowledge(record.content_hash, submit)
@@ -407,7 +382,6 @@ class SchedulerService:
         if not record.stream:
             self._by_hash[record.content_hash] = record
         if runs:
-            self._tag(record)
             self._pending.append(record)
             self._kick_drain()
         return sub_id
@@ -457,8 +431,6 @@ class SchedulerService:
 
     # ------------------------------------------------------------- serving
     async def _handle_connection(self, chan) -> None:
-        self._conn_count += 1
-        client_tag = f"client-{self._conn_count}"
         while True:
             msg = await chan.recv()
             if msg is None:
@@ -466,7 +438,7 @@ class SchedulerService:
             try:
                 op = msg.get("op")
                 if op == "submit":
-                    await self._op_submit(chan, msg, client_tag)
+                    await self._op_submit(chan, msg)
                 elif op == "status":
                     await chan.send(self._record_of(msg).status(msg["sub_id"]))
                 elif op == "result":
@@ -478,16 +450,7 @@ class SchedulerService:
             except Exception as exc:
                 await chan.send(error_message(exc))
 
-    def _tag(self, record: SubmissionRecord) -> None:
-        """Assign the SFQ start tag: max(virtual time, the client's
-        last finish tag); unit cost per submission."""
-        start = max(self._vtime, self._client_finish.get(record.client, 0.0))
-        self._client_finish[record.client] = start + 1.0
-        record.start_tag = start
-        self._next_seq += 1
-        record.seq = self._next_seq
-
-    async def _op_submit(self, chan, msg: dict, client_tag: str) -> None:
+    async def _op_submit(self, chan, msg: dict) -> None:
         payload = msg.get("scenario")
         if not isinstance(payload, dict):
             raise ValueError("submit needs a scenario object")
@@ -502,20 +465,9 @@ class SchedulerService:
         if record is not None:
             self.stats["deduplicated" if record.ids else "cache_hits"] += 1
         else:
-            # Bounded admission: the submission would join the queue —
-            # if the queue is full, push back instead of buffering.
-            if self.max_queue and len(self._pending) >= self.max_queue:
-                self.stats["rejected"] += 1
-                await chan.send({
-                    "op": "busy",
-                    "queue_depth": len(self._pending),
-                    "max_queue": self.max_queue,
-                    "retry_after": BUSY_RETRY_AFTER,
-                })
-                return
             record = SubmissionRecord(
                 content_hash, scenario.name, scenario.to_json(),
-                cluster_key(scenario), stream=stream, client=client_tag,
+                cluster_key(scenario), stream=stream,
             )
         sub_id = self._acknowledge(record)
         await chan.send({
@@ -558,7 +510,6 @@ class SchedulerService:
                 if r.state == "running"
             ),
             "jobs": self.jobs,
-            "max_queue": self.max_queue,
             "address": self.address,
             "journal": (str(self.journal.path)
                         if self.journal.path is not None else None),
@@ -574,16 +525,13 @@ class SchedulerService:
             self._drain_task = asyncio.ensure_future(self._drain())
 
     async def _drain(self) -> None:
-        """Drain the queue in waves: order the current pending set by
-        SFQ start tag (fair across clients), group it by cluster key,
-        run the groups concurrently on the pool, repeat.  Submissions
-        arriving mid-wave join the next wave — natural batching under
-        load, no timers (deterministic in tests)."""
+        """Drain the queue in waves: take the current pending set in
+        arrival order, group it by cluster key, run the groups
+        concurrently on the pool, repeat.  Submissions arriving mid-wave
+        join the next wave — natural batching under load, no timers
+        (deterministic in tests)."""
         while self._pending:
             wave, self._pending = self._pending, []
-            wave.sort(key=lambda r: (r.start_tag, r.seq))
-            self._vtime = max(self._vtime,
-                              max(r.start_tag for r in wave))
             batches: list[list[SubmissionRecord]] = []
             groups: dict[str, list[SubmissionRecord]] = {}
             for record in wave:
@@ -633,9 +581,8 @@ class SchedulerService:
                 self.store.put(RunManifest.from_dict(record.manifest))
             self.journal.record_done(record.ids[0])
             record.done.set()
-        self._maybe_evict_store()
 
-    # -------------------------------------------------- guards & budgeting
+    # -------------------------------------------------------------- guards
     def _retry_or_quarantine(self, records: list[SubmissionRecord],
                              error: str) -> None:
         """Infrastructure failure: back each submission off and requeue
@@ -659,7 +606,6 @@ class SchedulerService:
     async def _requeue_after(self, record: SubmissionRecord,
                              delay: float) -> None:
         await asyncio.sleep(delay)
-        self._tag(record)
         self._pending.append(record)
         self._kick_drain()
 
@@ -672,10 +618,3 @@ class SchedulerService:
             self.stats["quarantined"] += 1
         self.journal.record_failed(record.ids, error)
         record.done.set()
-
-    def _maybe_evict_store(self) -> None:
-        """Scheduler-triggered store budgeting: after a wave of fills,
-        trim the store back under its byte budget (LRU)."""
-        if self.store is not None and self.store_max_bytes:
-            report = self.store.evict(max_bytes=self.store_max_bytes)
-            self.stats["evicted"] += len(report.removed)

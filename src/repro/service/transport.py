@@ -21,11 +21,6 @@ Client → scheduler ops:
 Scheduler → client ops:
 
 ``submitted`` ``{"op": "submitted", "sub_id", "content_hash", "state"}``
-``busy``      ``{"op": "busy", "queue_depth", "max_queue", "retry_after"}``
-              (bounded admission: the submission queue is full; the
-              client should re-submit after ``retry_after`` seconds —
-              :meth:`~repro.service.client.ServiceClient.submit` does
-              this automatically)
 ``status``    ``{"op": "status", "sub_id", "state", "cached",
               "attempts", ...}`` (a retried submission also carries
               ``retries``: the backoff schedule it sat out, and a

@@ -103,12 +103,3 @@ def test_slow_disk_slows_a_scan():
     )))
     assert slow > 1.5 * healthy
 
-
-def test_link_degrade_fires_and_restores():
-    plan = FaultPlan(events=(
-        FaultEvent.link_degrade(0.1, "dn00", duration=0.2, factor=0.5),
-    ))
-    cl = BigDataCluster(TINY, PolicySpec.native(), faults=plan)
-    cl.run_for(0.5)
-    assert cl.faults.injected == 1
-    assert not cl.net.egress["dn00"].failed  # degraded, never failed

@@ -16,9 +16,7 @@ def small_plan():
             FaultEvent.node_crash(1.0, "dn01", duration=2.0),
             FaultEvent.slow_disk(3.0, "dn02", duration=1.0, factor=0.5,
                                  device="tmp"),
-            FaultEvent.link_degrade(4.0, "dn03", duration=1.0, factor=0.25,
-                                    jitter=0.5),
-            FaultEvent.broker_outage(5.0, duration=2.0),
+            FaultEvent.broker_outage(5.0, duration=2.0, jitter=0.5),
         ),
         read_backoff=0.125,
         read_timeout=1.5,
@@ -29,9 +27,14 @@ def small_plan():
 # ------------------------------------------------------------- validation
 
 def test_fault_kinds_is_complete():
-    assert set(FAULT_KINDS) == {
-        "node_crash", "slow_disk", "link_degrade", "broker_outage"
-    }
+    assert set(FAULT_KINDS) == {"node_crash", "slow_disk", "broker_outage"}
+
+
+def test_link_degrade_is_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown fault kind 'link_degrade'"
+                       r".*\('node_crash', 'slow_disk', 'broker_outage'\)"):
+        FaultEvent(kind="link_degrade", at=1.0, target="dn01", duration=1.0,
+                   factor=0.5)
 
 
 @pytest.mark.parametrize("bad", [
@@ -45,7 +48,7 @@ def test_fault_kinds_is_complete():
     dict(kind="slow_disk", at=1.0, target="dn01", duration=1.0, factor=1.5),
     dict(kind="slow_disk", at=1.0, target="dn01", duration=1.0, factor=0.5,
          device="floppy"),
-    dict(kind="link_degrade", at=1.0, target="dn01", duration=1.0, factor=2.0),
+    dict(kind="link_degrade", at=1.0, target="dn01", duration=1.0, factor=0.5),
     dict(kind="broker_outage", at=1.0, target="dn01", duration=1.0),
     dict(kind="broker_outage", at=1.0),                  # duration <= 0
 ])

@@ -14,6 +14,12 @@ def test_generator_job_requires_n_maps():
         JobSpec(name="gen")  # no input_path and no n_maps
 
 
+def test_input_job_rejects_n_maps():
+    # An input job runs one map per block; only generators set n_maps.
+    with pytest.raises(ValueError, match="one map per block"):
+        JobSpec(name="scan", input_path="/in/w", n_maps=4)
+
+
 def test_map_only_cannot_shuffle():
     with pytest.raises(ValueError):
         JobSpec(name="x", n_maps=1, shuffle_bytes=10, n_reduces=0)

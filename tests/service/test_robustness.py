@@ -1,5 +1,5 @@
 """Crash-safety and self-healing: journal recovery, retry/quarantine,
-worker supervision, back-pressure, fair queuing, store budgeting."""
+worker supervision."""
 
 import json
 import threading
@@ -12,7 +12,6 @@ from repro.scenario import run_scenario
 from repro.scenario.spec import Scenario
 from repro.service import (
     SchedulerService,
-    ServiceBusy,
     ServiceClient,
     ServiceError,
     SubmissionJournal,
@@ -152,89 +151,6 @@ def test_wedged_worker_times_out_and_is_replaced(
         svc.stop()
 
 
-# ---------------------------------------------------------- back-pressure
-def test_bounded_queue_rejects_with_busy(
-    tmp_path, tiny_scenario, monkeypatch
-):
-    import repro.service.scheduler as scheduler_mod
-
-    real = scheduler_mod.run_batch
-    release = threading.Event()
-
-    def stalled(payloads):
-        release.wait(timeout=30)
-        return real(payloads)
-
-    monkeypatch.setattr(scheduler_mod, "run_batch", stalled)
-    svc = SchedulerService(
-        store=ResultStore(tmp_path / "results"), max_queue=1
-    ).start(ANY_PORT)
-    try:
-        with ServiceClient(svc.address) as client:
-            running = client.submit(tiny_scenario(name="running"))
-            queued = client.submit(tiny_scenario(name="queued"))
-            # The queue is at its bound: an immediate re-offer fails...
-            with pytest.raises(ServiceBusy) as err:
-                client.submit(tiny_scenario(name="over"), max_busy_wait=0)
-            assert err.value.reply["queue_depth"] == 1
-            assert err.value.reply["max_queue"] == 1
-            assert err.value.reply["retry_after"] > 0
-            assert client.stats()["rejected"] == 1
-            # ...while a patient client is delayed, then admitted.
-            release.set()
-            patient = client.submit(tiny_scenario(name="over"))
-            for sub in (running, queued, patient):
-                assert client.result(sub).metrics_hash()
-            stats = client.stats()
-            assert stats["executed"] == 3
-    finally:
-        release.set()
-        svc.stop()
-
-
-def test_fair_queuing_interleaves_competing_clients(
-    tmp_path, tiny_scenario, monkeypatch
-):
-    """Start-tag fair queuing at the front door: a client that queued
-    three submissions cannot starve a client that queued one — the
-    other client's first submission drains before the backlog."""
-    import repro.service.scheduler as scheduler_mod
-
-    real = scheduler_mod.run_batch
-    release = threading.Event()
-    order = []
-
-    def recording(payloads):
-        names = _names(payloads)
-        if names == ["a1"]:
-            release.wait(timeout=30)
-        order.extend(names)
-        return real(payloads)
-
-    monkeypatch.setattr(scheduler_mod, "run_batch", recording)
-    svc = SchedulerService(
-        store=ResultStore(tmp_path / "results")
-    ).start(ANY_PORT)
-    try:
-        with ServiceClient(svc.address) as alice, \
-                ServiceClient(svc.address) as bob:
-            subs = [alice.submit(tiny_scenario(name="a1"))]
-            subs += [alice.submit(tiny_scenario(name=n))
-                     for n in ("a2", "a3")]
-            subs.append(bob.submit(tiny_scenario(name="b1")))
-            release.set()
-            for sub in subs[:3]:
-                alice.result(sub)
-            bob.result(subs[3])
-    finally:
-        release.set()
-        svc.stop()
-    # b1 carries a lower start tag than alice's backlog: it runs right
-    # after the in-flight a1, ahead of a2/a3 — all three queued ones in
-    # one same-cluster batch, ordered by start tag.
-    assert order == ["a1", "b1", "a2", "a3"]
-
-
 # ------------------------------------------------------- journal recovery
 def test_stop_mid_drain_recovers_via_journal(
     tmp_path, tiny_scenario, monkeypatch
@@ -332,6 +248,45 @@ def test_recovery_answers_already_stored_results_from_store(
         svc.stop()
 
 
+def test_parent_format_journal_recovers_without_store_entry(
+    tmp_path, tiny_scenario
+):
+    """A journal whose ``submit`` line still carries the ``client`` key
+    older builds wrote, with no store entry behind it, replays under
+    this build: the submission runs to the direct run's result, and new
+    ids continue past the journaled one."""
+    scenario = tiny_scenario()
+    journal_path = tmp_path / "journal.jsonl"
+    lines = [
+        {"kind": "journal", "schema": 2, "next_id": 0, "index": {},
+         "failed": {}},
+        {"kind": "submit", "sub_id": "sub-000001",
+         "content_hash": scenario.content_hash(), "name": scenario.name,
+         "client": "client-1", "cluster": "x",
+         "scenario": scenario.to_json()},
+        {"kind": "start", "sub_id": "sub-000001", "attempt": 1},
+    ]
+    journal_path.write_text("".join(
+        json.dumps(rec, sort_keys=True) + "\n" for rec in lines))
+
+    svc = SchedulerService(
+        store=ResultStore(tmp_path / "results"), journal=str(journal_path)
+    ).start(ANY_PORT)
+    try:
+        with ServiceClient(svc.address) as client:
+            manifest = client.result("sub-000001")
+            assert manifest.metrics_hash() == run_scenario(
+                scenario).metrics_hash()
+            assert client.status("sub-000001")["attempts"] == 2
+            stats = client.stats()
+            assert stats["recovered"] == 1 and stats["executed"] == 1
+            fresh = client.submit(tiny_scenario(name="fresh"))
+            assert fresh == "sub-000002"
+            client.result(fresh)
+    finally:
+        svc.stop()
+
+
 def test_corrupt_journal_fails_start_loudly(tmp_path):
     journal_path = tmp_path / "journal.jsonl"
     journal_path.write_text(
@@ -370,26 +325,3 @@ def test_corrupt_store_entry_surfaces_in_stats(
             assert stats["executed"] == 1
     finally:
         svc.stop()
-
-
-# -------------------------------------------------------- store budgeting
-def test_scheduler_evicts_store_over_byte_budget(
-    tmp_path, tiny_scenario
-):
-    # A budget with room for two of the four equal-sized manifests.
-    probe = ResultStore(tmp_path / "probe")
-    probe.put(run_scenario(tiny_scenario(name="e0")))
-    svc = SchedulerService(
-        store=ResultStore(tmp_path / "results"),
-        store_max_bytes=int(2.5 * probe.size_bytes()),
-    ).start(ANY_PORT)
-    try:
-        with ServiceClient(svc.address) as client:
-            for i in range(4):
-                client.result(client.submit(tiny_scenario(name=f"e{i}")))
-            stats = client.stats()
-            assert stats["executed"] == 4
-            assert stats["evicted"] >= 2
-    finally:
-        svc.stop()
-    assert len(ResultStore(tmp_path / "results")) <= 2
