@@ -341,9 +341,10 @@ def main(argv: list[str] | None = None) -> int:
                              "failure (worker crash/timeout) before a "
                              "submission is quarantined (default 2)")
     parser.add_argument("--timeout", type=float, default=0.0, metavar="S",
-                        help="serve mode: per-batch execution timeout in "
-                             "seconds; an overrunning worker is replaced "
-                             "and its submissions retried (0 = no timeout)")
+                        help="serve mode: execution timeout per "
+                             "submission in seconds; an overrunning worker "
+                             "is replaced and the submission retried "
+                             "(0 = no timeout)")
     parser.add_argument("--max-bytes", type=int, default=None, metavar="N",
                         help="store gc: byte budget to trim the store to")
     parser.add_argument("--max-entries", type=int, default=None, metavar="N",

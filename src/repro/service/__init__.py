@@ -6,8 +6,9 @@ An async central scheduler
 submissions over ``tcp://host:port`` (:mod:`~repro.service.transport`),
 deduplicates them by content hash, answers repeats from the
 :class:`~repro.execution.store.ResultStore`, queues the rest in arrival
-order, batches identical-cluster scenarios onto warm workers, and
-streams manifests — plus, on request, the run's telemetry-bus events —
+order, runs each as its own task on a warm worker (at most ``jobs`` at
+once), and streams manifests — plus, on request, the run's
+telemetry-bus events —
 back to the thin :class:`~repro.service.client.ServiceClient`.  Its
 :class:`~repro.service.journal.SubmissionJournal` allocates every
 sub-id, so acknowledged ids survive restarts and are never reused.
@@ -40,8 +41,7 @@ from repro.service.scheduler import (
     SchedulerService,
     SubmissionRecord,
     backoff,
-    cluster_key,
-    run_batch,
+    run_one,
 )
 from repro.service.transport import (
     connect,
@@ -61,11 +61,10 @@ __all__ = [
     "SubmissionJournal",
     "SubmissionRecord",
     "backoff",
-    "cluster_key",
     "connect",
     "decode",
     "encode",
     "listen",
     "parse_address",
-    "run_batch",
+    "run_one",
 ]

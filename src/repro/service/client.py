@@ -121,7 +121,7 @@ class ServiceClient:
                            on_event=on_event)
 
     def stats(self) -> dict[str, Any]:
-        """The scheduler's counters (submissions, cache hits, batches)."""
+        """The scheduler's counters (submissions, cache hits, runs)."""
         return self._request({"op": "stats"}, expect="stats")
 
     def close(self) -> None:

@@ -8,7 +8,7 @@ sees it::
 
     {"kind": "journal", "schema": 2, "next_id": 0, "index": {}, "failed": {}}
     {"kind": "submit", "sub_id": "sub-000001", "content_hash": ...,
-     "name": ..., "cluster": ..., "scenario": "<json>"}
+     "name": ..., "scenario": "<json>"}
     {"kind": "ack",    "sub_id": "sub-000002", "content_hash": ...}
     {"kind": "start",  "sub_id": "sub-000001", "attempt": 1}
     {"kind": "done",   "sub_id": "sub-000001"}
@@ -202,9 +202,9 @@ class SubmissionJournal:
     def acknowledge(self, content_hash: str,
                     submit: Optional[dict[str, Any]] = None) -> str:
         """Allocate the next sub-id and journal it; the caller replies
-        only after this returns.  ``submit`` (name, cluster, scenario)
-        marks work a restart must run again; without it the id is
-        recorded by content hash alone."""
+        only after this returns.  ``submit`` (name, scenario) marks work
+        a restart must run again; without it the id is recorded by
+        content hash alone."""
         sub_id = f"sub-{self.next_id + 1:06d}"
         self._append({"kind": "submit" if submit else "ack",
                       "sub_id": sub_id, "content_hash": content_hash,

@@ -7,8 +7,7 @@ submission flows::
 
     submit → dedup (content hash) → result-store lookup
           → journal (sub-id) → queue (arrival order)
-          → batch (cluster key) → warm worker → store → journal
-          → client
+          → one worker task → store → journal → client
 
 * **Dedup** — a second live submission of the same scenario content
   hash attaches to the first's record instead of executing again.
@@ -22,20 +21,19 @@ submission flows::
   journaled attempt counts, and every other old sub-id resolves on
   demand — failed ones with their error, done ones through the store
   (or as ``failed`` when the store no longer holds the result).
-* **Batching** — queued submissions drain in waves, in arrival order
-  (a retry re-joins at the back); each wave is grouped by
-  :func:`cluster_key`, one group per worker task, so identical-cluster
-  scenarios share a warm worker (and its calibration) while distinct
-  groups run concurrently.
-* **Guards** — a batch that dies for *infrastructure* reasons (worker
-  crash, broken pool, ``timeout``) is retried per submission, up to
-  ``retries`` times, after capped exponential backoff (:func:`backoff`),
-  each retry isolated in its own batch so one poison submission cannot
-  re-kill its siblings; then it is quarantined (terminal ``failed``
-  with the backoff schedule in the status).  The supervisor replaces
-  the crashed/wedged executor instead of wedging the wave.
-  Deterministic *scenario* errors fail on the first attempt —
-  re-running a deterministic simulator reproduces the error.
+* **Dispatch** — each submission runs as its own worker task.  Queued
+  submissions start in arrival order (a retry re-joins at the back) as
+  soon as fewer than ``jobs`` are running, so nothing waits inside the
+  executor and ``timeout`` bounds one submission's own run.  Once the
+  service is stopping, nothing more starts.
+* **Guards** — a run that dies for *infrastructure* reasons (worker
+  crash, broken pool, ``timeout``) is retried, up to ``retries`` times,
+  after capped exponential backoff (:func:`backoff`); then it is
+  quarantined (terminal ``failed`` with the backoff schedule in the
+  status).  The supervisor replaces the crashed/wedged executor so the
+  queue keeps draining.  Deterministic *scenario* errors fail on the
+  first attempt — re-running a deterministic simulator reproduces the
+  error.
 * **Streaming** — a submission with ``stream`` set runs with telemetry
   capture; its bus records are sent to the client (``event`` messages)
   before the manifest.  Streamed submissions always execute — the
@@ -43,26 +41,25 @@ submission flows::
   restart does not re-run them: the stream is owed to a live
   connection.
 
-``jobs <= 1`` runs batches on a single warm thread (deterministic, and
-what most tests use); ``jobs > 1`` uses a process pool.  A
-timed-out thread worker is abandoned (its computation cannot be
-killed); a timed-out process worker is terminated — use processes when
-hard isolation matters.
+``jobs <= 1`` runs submissions on a single warm thread (deterministic,
+and what most tests use); ``jobs > 1`` uses a process pool of ``jobs``
+workers.  A timed-out thread worker is abandoned (its computation
+cannot be killed); a timed-out process worker is terminated — use
+processes when hard isolation matters.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import io
 import json
 import threading
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
-from repro.core import canonical_json
 from repro.execution import ResultStore
 from repro.scenario.runner import RunManifest, run_scenario
 from repro.scenario.spec import Scenario
@@ -73,8 +70,7 @@ __all__ = [
     "SchedulerService",
     "SubmissionRecord",
     "backoff",
-    "cluster_key",
-    "run_batch",
+    "run_one",
 ]
 
 def backoff(attempt: int) -> float:
@@ -83,57 +79,34 @@ def backoff(attempt: int) -> float:
     return min(0.05 * 2.0 ** (attempt - 1), 5.0)
 
 
-def cluster_key(scenario: Scenario) -> str:
-    """Digest of the scenario's cluster config alone.
+def run_one(scenario_json: str, collect_events: bool) -> dict[str, Any]:
+    """What a worker executes for one submission.
 
-    Scenarios sharing a cluster key share storage profiles and hence
-    §4 calibrations, so the scheduler batches them onto the same warm
-    worker — the batch pays for at most one profiling pass.
+    The scenario travels as canonical JSON and the manifest travels
+    back as a dict, so the task is picklable for the process pool.
+    Returns ``{"manifest", "events", "error"}``: a failing scenario
+    reports its error instead of raising.
     """
-    payload = canonical_json(scenario.cluster.to_dict())
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def run_batch(
-    payloads: Sequence[tuple[str, bool]],
-) -> list[dict[str, Any]]:
-    """What a warm worker executes: ``(scenario_json, collect_events)``
-    pairs, serially.
-
-    Scenarios travel as canonical JSON and manifests travel back as
-    dicts, so the task is picklable for the process pool; every
-    scenario in the batch shares the worker's §4 calibration cache.
-    Returns one ``{"manifest", "events", "error"}`` dict per payload,
-    in order.  A failing scenario reports its error instead of killing
-    the rest of the batch.
-    """
-    out: list[dict[str, Any]] = []
-    for text, collect_events in payloads:
-        try:
-            scenario = Scenario.from_json(text)
-            if collect_events:
-                buf = io.StringIO()
-                manifest = run_scenario(scenario, trace_path=buf)
-                events = [
-                    json.loads(line)
-                    for line in buf.getvalue().splitlines()
-                    if line.strip()
-                ]
-            else:
-                manifest = run_scenario(scenario)
-                events = None
-            out.append({
-                "manifest": manifest.to_dict(),
-                "events": events,
-                "error": None,
-            })
-        except Exception as exc:  # per-submission containment
-            out.append({
-                "manifest": None,
-                "events": None,
-                "error": f"{type(exc).__name__}: {exc}",
-            })
-    return out
+    try:
+        scenario = Scenario.from_json(scenario_json)
+        if collect_events:
+            buf = io.StringIO()
+            manifest = run_scenario(scenario, trace_path=buf)
+            events = [
+                json.loads(line)
+                for line in buf.getvalue().splitlines()
+                if line.strip()
+            ]
+        else:
+            manifest = run_scenario(scenario)
+            events = None
+    except Exception as exc:  # a scenario error, not a worker failure
+        return {
+            "manifest": None,
+            "events": None,
+            "error": f"{type(exc).__name__}: {exc}",
+        }
+    return {"manifest": manifest.to_dict(), "events": events, "error": None}
 
 
 @dataclass(eq=False)
@@ -145,7 +118,6 @@ class SubmissionRecord:
     scenario_name: str = ""
     #: canonical scenario JSON; empty when there is nothing to run
     scenario_json: str = ""
-    cluster: str = ""
     stream: bool = False
     state: str = "queued"
     cached: bool = False
@@ -156,8 +128,6 @@ class SubmissionRecord:
     #: one ``{"attempt", "delay", "error", "at"}`` per retry waited out
     retries: list = field(default_factory=list)
     quarantined: bool = False
-    #: a retried submission runs in its own batch (poison isolation)
-    solo: bool = False
     #: every sub-id acknowledged for this record; the first runs it
     ids: list = field(default_factory=list)
     done: asyncio.Event = field(default_factory=asyncio.Event)
@@ -191,12 +161,13 @@ class SubmissionRecord:
 
 class SchedulerService:
     """Accepts scenario submissions over a transport and executes them
-    on warm workers, answering repeats from the result store.
+    on warm workers, at most ``jobs`` at once, answering repeats from
+    the result store.
 
     ``journal`` is a :class:`SubmissionJournal` or a path to one;
     without it the ids and their index live in memory only.
     ``retries`` bounds the re-runs after infrastructure failures and
-    ``timeout`` (seconds, ``None`` = never) one batch execution.
+    ``timeout`` (seconds, ``None`` = never) one submission's run.
     """
 
     def __init__(
@@ -218,11 +189,12 @@ class SchedulerService:
 
         self._records: dict[str, SubmissionRecord] = {}
         self._by_hash: dict[str, SubmissionRecord] = {}
-        self._pending: list[SubmissionRecord] = []
-        self._drain_task: Optional[asyncio.Task] = None
+        self._queue: deque[SubmissionRecord] = deque()
+        #: the running worker tasks, at most ``jobs``
+        self._runs: set[asyncio.Task] = set()
         self.stats: dict[str, int] = {
             "submitted": 0, "cache_hits": 0, "deduplicated": 0,
-            "executed": 0, "failed": 0, "batches": 0,
+            "executed": 0, "failed": 0,
             "recovered": 0, "retried": 0, "quarantined": 0,
             "workers_replaced": 0,
         }
@@ -298,19 +270,18 @@ class SchedulerService:
 
     def _replace_executor(self) -> None:
         """The worker supervisor: swap a crashed/wedged pool for a
-        fresh one so the wave keeps draining."""
+        fresh one so the queue keeps draining."""
         old, self._executor = self._executor, self._make_executor()
         self.stats["workers_replaced"] += 1
         if isinstance(old, ProcessPoolExecutor):
-            # A wedged process ignores shutdown(); terminate it.  Its
-            # queued batches then fail as a broken pool and are retried.
+            # A wedged process ignores shutdown(); terminate it.  The
+            # other runs on it then fail as a broken pool and are retried.
             for proc in list(getattr(old, "_processes", {}).values()):
                 try:
                     proc.terminate()
                 except Exception:
                     pass
-        # Batches queued on the old pool still run (or fail, or time
-        # out) there: cancelling them would strand their records.
+        # Runs still on an old thread pool finish (or time out) there.
         old.shutdown(wait=False)
 
     async def _serve(self, address: str) -> None:
@@ -334,8 +305,8 @@ class SchedulerService:
         finally:
             await self._listener.close()
             self._executor.shutdown(wait=False, cancel_futures=True)
-            # Wind down open connections and in-flight batch awaits so
-            # the loop closes without destroying pending tasks.
+            # Wind down open connections and in-flight runs so the loop
+            # closes without destroying pending tasks.
             doomed = [t for t in asyncio.all_tasks()
                       if t is not asyncio.current_task()]
             for task in doomed:
@@ -356,7 +327,7 @@ class SchedulerService:
             else:
                 record = SubmissionRecord(
                     rec["content_hash"], rec["name"], rec["scenario"],
-                    rec["cluster"], attempts=rec["attempts"],
+                    attempts=rec["attempts"],
                 )
             self._acknowledge(record, rec["sub_id"])
             self.stats["recovered"] += 1
@@ -372,7 +343,7 @@ class SchedulerService:
             submit = None
             if runs and not record.stream:
                 submit = {
-                    "name": record.scenario_name, "cluster": record.cluster,
+                    "name": record.scenario_name,
                     "scenario": record.scenario_json,
                 }
             sub_id = self.journal.acknowledge(record.content_hash, submit)
@@ -382,8 +353,8 @@ class SchedulerService:
         if not record.stream:
             self._by_hash[record.content_hash] = record
         if runs:
-            self._pending.append(record)
-            self._kick_drain()
+            self._queue.append(record)
+            self._dispatch()
         return sub_id
 
     def _resolve(self, content_hash: str) -> Optional[SubmissionRecord]:
@@ -467,7 +438,7 @@ class SchedulerService:
         else:
             record = SubmissionRecord(
                 content_hash, scenario.name, scenario.to_json(),
-                cluster_key(scenario), stream=stream,
+                stream=stream,
             )
         sub_id = self._acknowledge(record)
         await chan.send({
@@ -504,11 +475,8 @@ class SchedulerService:
         await chan.send({
             "op": "stats",
             **self.stats,
-            "pending": len(self._pending),
-            "running": sum(
-                1 for r in {id(r): r for r in self._records.values()}.values()
-                if r.state == "running"
-            ),
+            "pending": len(self._queue),
+            "running": len(self._runs),
             "jobs": self.jobs,
             "address": self.address,
             "journal": (str(self.journal.path)
@@ -520,94 +488,81 @@ class SchedulerService:
         })
 
     # ----------------------------------------------------------- execution
-    def _kick_drain(self) -> None:
-        if self._drain_task is None or self._drain_task.done():
-            self._drain_task = asyncio.ensure_future(self._drain())
+    def _dispatch(self) -> None:
+        """Start queued submissions, in arrival order, while fewer than
+        ``jobs`` run.  A stopping service starts nothing: its executor
+        is being shut down, and the journal keeps the queue."""
+        while (self._queue and len(self._runs) < self.jobs
+               and not self._stop_event.is_set()):
+            self._runs.add(asyncio.ensure_future(
+                self._run(self._queue.popleft())))
 
-    async def _drain(self) -> None:
-        """Drain the queue in waves: take the current pending set in
-        arrival order, group it by cluster key, run the groups
-        concurrently on the pool, repeat.  Submissions arriving mid-wave
-        join the next wave — natural batching under load, no timers
-        (deterministic in tests)."""
-        while self._pending:
-            wave, self._pending = self._pending, []
-            batches: list[list[SubmissionRecord]] = []
-            groups: dict[str, list[SubmissionRecord]] = {}
-            for record in wave:
-                if record.solo:
-                    batches.append([record])
-                    continue
-                group = groups.get(record.cluster)
-                if group is None:
-                    groups[record.cluster] = group = []
-                    batches.append(group)
-                group.append(record)
-            await asyncio.gather(
-                *(self._run_batch(batch) for batch in batches)
-            )
-
-    async def _run_batch(self, records: list[SubmissionRecord]) -> None:
-        for record in records:
-            record.state = "running"
-            record.attempts += 1
-            self.journal.record_start(record.ids[0], record.attempts)
-        self.stats["batches"] += 1
-        payloads = [(r.scenario_json, r.stream) for r in records]
-        # run_batch is looked up at call time, so tests can patch it.
-        fut = asyncio.get_running_loop().run_in_executor(
-            self._executor, run_batch, payloads
-        )
+    async def _run(self, record: SubmissionRecord) -> None:
+        """Run one submission on the executor.  However the run ends,
+        its slot frees and the next queued submission starts."""
+        record.state = "running"
+        record.attempts += 1
+        self.journal.record_start(record.ids[0], record.attempts)
+        executor = self._executor
         try:
-            results = await asyncio.wait_for(fut, self.timeout)
+            # run_one is looked up at call time, so tests can patch it.
+            result = await asyncio.wait_for(
+                asyncio.get_running_loop().run_in_executor(
+                    executor, run_one, record.scenario_json, record.stream,
+                ),
+                self.timeout,
+            )
         except Exception as exc:  # timeout, pool died, worker crashed
             if isinstance(exc, asyncio.TimeoutError) and self.timeout:
-                error = f"TimeoutError: batch exceeded {self.timeout:g}s"
+                error = f"TimeoutError: run exceeded {self.timeout:g}s"
             else:
                 error = f"{type(exc).__name__}: {exc}"
-            self._replace_executor()
-            self._retry_or_quarantine(records, error)
-            return
-        for record, result in zip(records, results):
+            # Replace the pool unless another failure already did: a
+            # second replacement would terminate the fresh pool's runs.
+            if executor is self._executor:
+                self._replace_executor()
+            self._retry_or_quarantine(record, error)
+        else:
             if result["error"] is not None:
                 # Deterministic scenario error: retrying reproduces it.
                 self._finish_failed(record, result["error"])
-                continue
-            record.manifest = result["manifest"]
-            record.events = result["events"]
-            record.state = "done"
-            self.stats["executed"] += 1
-            if self.store is not None:
-                self.store.put(RunManifest.from_dict(record.manifest))
-            self.journal.record_done(record.ids[0])
-            record.done.set()
+            else:
+                record.manifest = result["manifest"]
+                record.events = result["events"]
+                record.state = "done"
+                self.stats["executed"] += 1
+                if self.store is not None:
+                    self.store.put(RunManifest.from_dict(record.manifest))
+                self.journal.record_done(record.ids[0])
+                record.done.set()
+        finally:
+            self._runs.discard(asyncio.current_task())
+            self._dispatch()
 
     # -------------------------------------------------------------- guards
-    def _retry_or_quarantine(self, records: list[SubmissionRecord],
+    def _retry_or_quarantine(self, record: SubmissionRecord,
                              error: str) -> None:
-        """Infrastructure failure: back each submission off and requeue
-        it solo, or quarantine it once its retries are spent."""
-        for record in records:
-            if record.attempts > self.retries:
-                self._finish_failed(record, error, quarantined=True)
-                continue
-            delay = backoff(record.attempts)
-            record.retries.append({
-                "attempt": record.attempts,
-                "delay": delay,
-                "error": error,
-                "at": time.time(),
-            })
-            record.state = "queued"
-            record.solo = True  # isolate: a poison sibling re-kills batches
-            self.stats["retried"] += 1
-            asyncio.ensure_future(self._requeue_after(record, delay))
+        """Infrastructure failure: back the submission off and requeue
+        it, or quarantine it once its retries are spent."""
+        if record.attempts > self.retries:
+            self._finish_failed(record, error, quarantined=True)
+            return
+        delay = backoff(record.attempts)
+        record.retries.append({
+            "attempt": record.attempts,
+            "delay": delay,
+            "error": error,
+            "at": time.time(),
+        })
+        record.state = "queued"
+        self.stats["retried"] += 1
+        asyncio.ensure_future(self._requeue_after(record, delay))
 
     async def _requeue_after(self, record: SubmissionRecord,
                              delay: float) -> None:
         await asyncio.sleep(delay)
-        self._pending.append(record)
-        self._kick_drain()
+        self._queue.append(record)
+        self._dispatch()
 
     def _finish_failed(self, record: SubmissionRecord, error: str,
                        quarantined: bool = False) -> None:

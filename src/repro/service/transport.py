@@ -120,11 +120,14 @@ async def listen(address: str, handler: Handler):
                          writer: asyncio.StreamWriter) -> None:
         chan = _TcpServerChannel(reader, writer)
         try:
-            await handler(chan)
+            try:
+                await handler(chan)
+            finally:
+                await chan.close()
         except asyncio.CancelledError:
-            pass  # the service is stopping; Python 3.11 logs it otherwise
-        finally:
-            await chan.close()
+            # The service is stopping, perhaps mid-close; Python 3.11
+            # logs a cancelled connection callback otherwise.
+            pass
 
     server = await asyncio.start_server(on_connect, host, port)
     host, port = server.sockets[0].getsockname()[:2]

@@ -144,10 +144,6 @@ class FlushSpike:
     until: float         # storm end time
     factor: float        # rate multiplier during the storm
 
-    @property
-    def duration(self) -> float:
-        return self.until - self.t
-
 
 @dataclass(frozen=True, slots=True)
 class FaultInjected:

@@ -5,7 +5,6 @@ import pytest
 import repro.execution.core as core_mod
 from repro.execution import ExecutionCore, ResultStore, parallel_jobs
 from repro.scenario import run_scenario, sweep_scenarios
-from repro.service import cluster_key
 
 
 @pytest.fixture
@@ -20,14 +19,6 @@ def counted_runs(monkeypatch):
 
     monkeypatch.setattr(core_mod, "run_scenario", counting)
     return calls
-
-
-# ------------------------------------------------------------- batching key
-def test_cluster_key_groups_by_cluster(tiny_scenario):
-    a, b = tiny_scenario(seed=1), tiny_scenario(seed=1, name="other")
-    c = tiny_scenario(seed=2)
-    assert cluster_key(a) == cluster_key(b)
-    assert cluster_key(a) != cluster_key(c)
 
 
 # ------------------------------------------------------------- memoization

@@ -61,6 +61,7 @@ REACH_STEPS = (
     "Mixed-policy ablation (smoke, 1/256 scale)",
     "Fault injection (smoke, 1/256 scale)",
     "Figure statistics without numpy (smoke, 1/256 scale)",
+    "Serial equals --jobs 2 (every artifact, 1/256 scale)",
     "Scenario runner (smoke, example file end to end)",
     "Latency spans (smoke, example file end to end)",
     "Scenario service (smoke, local tcp)",

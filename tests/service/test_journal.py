@@ -9,8 +9,7 @@ from repro.service import JOURNAL_SCHEMA, JournalError, SubmissionJournal
 
 def submit(i: int = 1) -> dict:
     """The ``submit`` fields of a runnable submission."""
-    return dict(name=f"scn-{i}", cluster="clu-1",
-                scenario=json.dumps({"name": f"scn-{i}"}))
+    return dict(name=f"scn-{i}", scenario=json.dumps({"name": f"scn-{i}"}))
 
 
 def lines_of(path):
@@ -33,7 +32,7 @@ def test_round_trip_submit_start_done(tmp_path):
     assert [r["attempts"] for r in incomplete] == [1, 0]
     # The scenario text rides in the journal: recovery needs no client.
     assert json.loads(incomplete[0]["scenario"]) == {"name": "scn-1"}
-    assert incomplete[0]["cluster"] == "clu-1"
+    assert incomplete[0]["name"] == "scn-1"
     # Every acknowledged id is indexed, the alias by its hash alone.
     assert replayed.index == {first: "hash-1", second: "hash-2",
                               alias: "hash-1"}

@@ -29,15 +29,15 @@ def _wait(predicate, timeout=30.0):
 def _stall_on(monkeypatch, name):
     """Make the worker block on the scenario called ``name`` until the
     returned event is set."""
-    real = scheduler_mod.run_batch
+    real = scheduler_mod.run_one
     release = threading.Event()
 
-    def stalled(payloads):
-        if any(f'"name":"{name}"' in text for text, _ in payloads):
+    def stalled(text, collect_events):
+        if f'"name":"{name}"' in text:
             release.wait(timeout=30)
-        return real(payloads)
+        return real(text, collect_events)
 
-    monkeypatch.setattr(scheduler_mod, "run_batch", stalled)
+    monkeypatch.setattr(scheduler_mod, "run_one", stalled)
     return release
 
 
@@ -118,18 +118,18 @@ def test_alias_store_hit_and_streamed_ids_resolve_after_restart(
 def test_recovered_submission_reports_journaled_attempts(
     tmp_path, tiny_scenario, monkeypatch
 ):
-    real = scheduler_mod.run_batch
+    real = scheduler_mod.run_one
     release = threading.Event()
     calls = []
 
-    def flaky(payloads):
-        calls.append(len(payloads))
+    def flaky(text, collect_events):
+        calls.append(text)
         if len(calls) == 1:
             raise RuntimeError("worker crashed")
         release.wait(timeout=30)  # the retry is still running at stop
-        return real(payloads)
+        return real(text, collect_events)
 
-    monkeypatch.setattr(scheduler_mod, "run_batch", flaky)
+    monkeypatch.setattr(scheduler_mod, "run_one", flaky)
     svc = _start(tmp_path)
     try:
         with ServiceClient(svc.address) as client:
@@ -140,7 +140,7 @@ def test_recovered_submission_reports_journaled_attempts(
         svc.stop()
         release.set()
 
-    monkeypatch.setattr(scheduler_mod, "run_batch", real)
+    monkeypatch.setattr(scheduler_mod, "run_one", real)
     svc = _start(tmp_path)
     try:
         with ServiceClient(svc.address) as client:

@@ -1,14 +1,19 @@
 """Crash-safety and self-healing: journal recovery, retry/quarantine,
 worker supervision."""
 
+import gc
 import json
+import logging
 import threading
 import time
 
 import pytest
 
+import repro.service.scheduler as scheduler_mod
+from repro.config import GB, default_cluster
+from repro.core import PolicySpec
 from repro.execution import ResultStore
-from repro.scenario import run_scenario
+from repro.scenario import run_scenario, single_app
 from repro.scenario.spec import Scenario
 from repro.service import (
     SchedulerService,
@@ -19,10 +24,6 @@ from repro.service import (
 )
 
 from .conftest import ANY_PORT
-
-
-def _names(payloads):
-    return [Scenario.from_json(text).name for text, _stream in payloads]
 
 
 def _wait(predicate, timeout=30.0, step=0.01):
@@ -43,25 +44,23 @@ def _no_worker_threads():
 def test_crashing_submission_quarantined_siblings_complete(
     tmp_path, tiny_scenario, monkeypatch
 ):
-    """A worker-crashing submission is retried with backoff, isolated
-    from its batch, and quarantined once its retries are spent — while
-    the sibling it shared a wave with completes."""
-    import repro.service.scheduler as scheduler_mod
-
-    real = scheduler_mod.run_batch
+    """A worker-crashing submission is retried with backoff and
+    quarantined once its retries are spent, while the submissions queued
+    with it complete on their first attempt."""
+    real = scheduler_mod.run_one
     release = threading.Event()
-    batches = []
+    calls = []
 
-    def crashing(payloads):
-        names = _names(payloads)
-        batches.append(names)
-        if len(batches) == 1:
+    def crashing(text, collect_events):
+        name = Scenario.from_json(text).name
+        calls.append(name)
+        if len(calls) == 1:
             release.wait(timeout=30)
-        if any("poison" in n for n in names):
+        if name == "poison":
             raise RuntimeError("worker crashed hard")
-        return real(payloads)
+        return real(text, collect_events)
 
-    monkeypatch.setattr(scheduler_mod, "run_batch", crashing)
+    monkeypatch.setattr(scheduler_mod, "run_one", crashing)
     svc = SchedulerService(
         store=ResultStore(tmp_path / "results"), retries=2
     ).start(ANY_PORT)
@@ -72,7 +71,7 @@ def test_crashing_submission_quarantined_siblings_complete(
             good = client.submit(tiny_scenario(name="good"))
             release.set()
 
-            # Siblings of the crashed batch still complete.
+            # The submissions around the poison one still complete.
             assert client.result(blocker).metrics_hash()
             manifest = client.result(good)
             assert manifest.metrics_hash() == run_scenario(
@@ -98,37 +97,32 @@ def test_crashing_submission_quarantined_siblings_complete(
             stats = client.stats()
             assert stats["quarantined"] == 1
             assert stats["failed"] == 1
-            # poison retried twice, good retried once after the shared
-            # batch crashed; blocker never failed.
-            assert stats["retried"] == 3
+            # Only poison is retried: no other run shares its worker task.
+            assert stats["retried"] == 2
             assert stats["executed"] == 2
             assert stats["workers_replaced"] == 3
     finally:
         release.set()
         svc.stop()
-    # Retries run solo: poison never shares a batch again.
-    crash_batches = [b for b in batches if "poison" in b]
-    assert all(len(b) == 1 for b in crash_batches[1:])
+    assert sorted(calls) == ["blocker", "good"] + ["poison"] * 3
 
 
 def test_wedged_worker_times_out_and_is_replaced(
     tmp_path, tiny_scenario, monkeypatch
 ):
-    """A batch exceeding the timeout is retried on a fresh worker; the
-    wedged one is abandoned instead of wedging the wave."""
-    import repro.service.scheduler as scheduler_mod
-
-    real = scheduler_mod.run_batch
+    """A run exceeding the timeout is retried on a fresh worker; the
+    wedged one is abandoned instead of wedging the queue."""
+    real = scheduler_mod.run_one
     wedge = threading.Event()
     calls = []
 
-    def wedging(payloads):
-        calls.append(_names(payloads))
+    def wedging(text, collect_events):
+        calls.append(text)
         if len(calls) == 1:
             wedge.wait(timeout=10)  # simulate a hang >> timeout
-        return real(payloads)
+        return real(text, collect_events)
 
-    monkeypatch.setattr(scheduler_mod, "run_batch", wedging)
+    monkeypatch.setattr(scheduler_mod, "run_one", wedging)
     svc = SchedulerService(
         store=ResultStore(tmp_path / "results"), retries=1, timeout=0.25
     ).start(ANY_PORT)
@@ -141,7 +135,9 @@ def test_wedged_worker_times_out_and_is_replaced(
             ).metrics_hash()
             status = client.status(sub)
             assert status["attempts"] == 2
-            assert "TimeoutError" in status["retries"][0]["error"]
+            assert status["retries"][0]["error"] == (
+                "TimeoutError: run exceeded 0.25s"
+            )
             stats = client.stats()
             assert stats["workers_replaced"] == 1
             assert stats["retried"] == 1
@@ -151,24 +147,97 @@ def test_wedged_worker_times_out_and_is_replaced(
         svc.stop()
 
 
-# ------------------------------------------------------- journal recovery
-def test_stop_mid_drain_recovers_via_journal(
+def test_timeout_bounds_each_run_not_its_wait_in_the_queue(
     tmp_path, tiny_scenario, monkeypatch
 ):
-    """The satellite contract for ``stop()`` mid-drain: queued and
-    running submissions stay journaled as incomplete, worker threads
-    wind down, and a fresh scheduler over the same journal finishes
-    them with ``metrics_hash`` parity."""
-    import repro.service.scheduler as scheduler_mod
+    """``timeout`` times one submission's own run.  Three same-cluster
+    submissions of ~0.6 s each take longer than the 1 s timeout in all,
+    and still finish with no retry and no replaced worker."""
+    real = scheduler_mod.run_one
 
-    real = scheduler_mod.run_batch
+    def slow(text, collect_events):
+        time.sleep(0.6)
+        return real(text, collect_events)
+
+    monkeypatch.setattr(scheduler_mod, "run_one", slow)
+    svc = SchedulerService(
+        store=ResultStore(tmp_path / "results"), retries=1, timeout=1.0
+    ).start(ANY_PORT)
+    try:
+        with ServiceClient(svc.address) as client:
+            subs = [client.submit(tiny_scenario(name=f"slow-{i}"))
+                    for i in range(3)]
+            for sub in subs:
+                client.result(sub)
+                assert client.status(sub)["state"] == "done"
+            stats = client.stats()
+    finally:
+        svc.stop()
+    assert stats["executed"] == 3
+    assert stats["retried"] == 0
+    assert stats["workers_replaced"] == 0
+    assert stats["failed"] == 0
+
+
+def _teravalidate(name: str, size: int):
+    config = default_cluster(scale=1.0 / 2, seed=20160531)
+    return single_app(
+        config, PolicySpec.native(), "teravalidate",
+        name=name, params={"input_path": "/in/x"},
+        preloads=(("/in/x", size),), max_cores=48,
+    )
+
+
+def test_timed_out_process_pool_is_terminated_and_replaced_once(
+    tmp_path, tiny_scenario
+):
+    """With ``jobs=2`` the workers are processes.  Two runs of seconds
+    each overrun a 0.5 s timeout: the first timeout terminates the pool
+    (killing the other run too) and replaces it, the other run's failure
+    leaves the fresh pool alone, and the next submission completes
+    there."""
+    svc = SchedulerService(jobs=2, timeout=0.5, retries=0).start(ANY_PORT)
+    try:
+        with ServiceClient(svc.address) as client:
+            bigs = [client.submit(_teravalidate(f"big-{i}", 600 * GB))
+                    for i in range(2)]
+            for sub in bigs:
+                with pytest.raises(ServiceError, match="failed"):
+                    client.result(sub)
+                assert client.status(sub)["quarantined"] is True
+            # At least the first to overrun failed on its own timeout.
+            assert any("TimeoutError: run exceeded 0.5s"
+                       in client.status(sub)["error"] for sub in bigs)
+            manifest = client.run(tiny_scenario())
+            stats = client.stats()
+    finally:
+        svc.stop()
+    assert manifest.metrics_hash() == run_scenario(
+        tiny_scenario()
+    ).metrics_hash()
+    assert stats["workers_replaced"] == 1
+    assert stats["executed"] == 1
+    assert stats["quarantined"] == 2
+
+
+# ------------------------------------------------------- journal recovery
+def test_stop_mid_drain_recovers_via_journal(
+    tmp_path, tiny_scenario, monkeypatch, caplog
+):
+    """``stop()`` mid-drain: it starts nothing more and logs nothing,
+    queued and running submissions stay journaled as incomplete, worker
+    threads wind down, and a fresh scheduler over the same journal
+    finishes them with ``metrics_hash`` parity."""
+    real = scheduler_mod.run_one
     release = threading.Event()
+    calls = []
 
-    def stalled(payloads):
+    def stalled(text, collect_events):
+        calls.append(text)
         release.wait(timeout=30)
-        return real(payloads)
+        return real(text, collect_events)
 
-    monkeypatch.setattr(scheduler_mod, "run_batch", stalled)
+    monkeypatch.setattr(scheduler_mod, "run_one", stalled)
     journal_path = tmp_path / "journal.jsonl"
     store_root = tmp_path / "results"
     svc = SchedulerService(
@@ -178,10 +247,24 @@ def test_stop_mid_drain_recovers_via_journal(
     with ServiceClient(svc.address) as client:
         for i in range(3):
             subs.append(client.submit(tiny_scenario(name=f"scn-{i}")))
-    svc.stop()  # one running (stalled), two queued — none finished
+        assert _wait(lambda: calls)
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        svc.stop()  # one running (stalled), two queued — none finished
+        gc.collect()  # a dropped task logs its unretrieved error here
+    assert [r.getMessage() for r in caplog.records] == []
+    assert len(calls) == 1
 
+    submits = [json.loads(line)
+               for line in journal_path.read_text().splitlines()[1:]]
+    submits = [r for r in submits if r["kind"] == "submit"]
+    # A submit line carries what a restart needs to run it, no more.
+    assert [sorted(r) for r in submits] == [
+        ["content_hash", "kind", "name", "scenario", "sub_id"]
+    ] * 3
     incomplete = SubmissionJournal(journal_path).replay()
-    assert sorted(r["sub_id"] for r in incomplete) == sorted(subs)
+    assert [r["sub_id"] for r in incomplete] == subs
+    # Only the first started: the stop dispatched nothing more.
+    assert [r["attempts"] for r in incomplete] == [1, 0, 0]
     release.set()
     assert _wait(_no_worker_threads, timeout=10), (
         "worker threads leaked past stop()"
@@ -251,10 +334,10 @@ def test_recovery_answers_already_stored_results_from_store(
 def test_parent_format_journal_recovers_without_store_entry(
     tmp_path, tiny_scenario
 ):
-    """A journal whose ``submit`` line still carries the ``client`` key
-    older builds wrote, with no store entry behind it, replays under
-    this build: the submission runs to the direct run's result, and new
-    ids continue past the journaled one."""
+    """A journal whose ``submit`` line still carries the ``client`` and
+    ``cluster`` keys older builds wrote, with no store entry behind it,
+    replays under this build: the submission runs to the direct run's
+    result, and new ids continue past the journaled one."""
     scenario = tiny_scenario()
     journal_path = tmp_path / "journal.jsonl"
     lines = [

@@ -1,11 +1,14 @@
 """Scheduler end-to-end over a local tcp socket."""
 
 import logging
+import time
 
 import pytest
 
+from repro.config import GB, default_cluster
+from repro.core import PolicySpec
 from repro.execution import ResultStore
-from repro.scenario import load_scenario, run_scenario
+from repro.scenario import load_scenario, run_scenario, single_app
 from repro.service import SchedulerService, ServiceClient, ServiceError
 from repro.telemetry.trace import validate_trace_record
 
@@ -87,40 +90,35 @@ def test_distinct_scenarios_all_execute(service, tiny_scenario):
     assert client.stats()["executed"] == 3
 
 
-def test_identical_cluster_scenarios_share_a_batch(
-    service, tiny_scenario, monkeypatch
-):
-    """Queued same-cluster submissions drain as one warm-worker batch."""
-    import threading
-
-    import repro.service.scheduler as scheduler_mod
-
-    release = threading.Event()
-    sizes = []
-    real = scheduler_mod.run_batch
-
-    def stalled(payloads):
-        sizes.append(len(payloads))
-        release.wait(timeout=30)
-        return real(payloads)
-
-    # jobs=1 runs batches on a warm thread in-process, so the patch
-    # reaches the worker.
-    monkeypatch.setattr(scheduler_mod, "run_batch", stalled)
-    client = service.client()
-    ids = [client.submit(tiny_scenario(seed=7, name="n0"))]
-    # While wave 1 is stalled, two more same-cluster submissions queue.
-    ids += [
-        client.submit(tiny_scenario(seed=7, name=f"n{i}")) for i in (1, 2)
+def test_jobs_two_runs_same_cluster_submissions_at_once():
+    """With ``jobs=2`` two submissions on one cluster run together: each
+    is its own worker task, so neither waits for the other."""
+    config = default_cluster(scale=1.0 / 2, seed=20160531)
+    scenarios = [
+        single_app(
+            config, PolicySpec.native(), "teravalidate",
+            name=f"cell-{i}", params={"input_path": "/in/x"},
+            preloads=(("/in/x", 150 * GB),), max_cores=48,
+        )
+        for i in range(2)
     ]
-    release.set()
-    for i in ids:
-        client.result(i)
-    stats = service.client().stats()
-    assert stats["executed"] == 3
-    # Wave 2 grouped the two queued submissions into one batch.
-    assert sizes == [1, 2]
-    assert stats["batches"] == 2
+    svc = SchedulerService(jobs=2).start(ANY_PORT)
+    try:
+        with ServiceClient(svc.address) as client:
+            subs = [client.submit(s) for s in scenarios]
+            seen = []
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                states = [client.status(s)["state"] for s in subs]
+                seen.append(states)
+                if "running" not in states and "queued" not in states:
+                    break
+                time.sleep(0.01)
+            assert seen[-1] == ["done", "done"], seen[-1]
+            assert client.stats()["executed"] == 2
+    finally:
+        svc.stop()
+    assert ["running", "running"] in seen
 
 
 def test_streamed_submission_delivers_telemetry(service, tiny_scenario):

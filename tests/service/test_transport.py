@@ -1,6 +1,7 @@
 """Transport layer: address parsing, tcp round trips."""
 
 import asyncio
+import logging
 import socket
 import threading
 from contextlib import closing
@@ -159,3 +160,24 @@ def test_connect_without_listener_raises_connection_error():
     # Nothing listens on the port the probe held.
     with pytest.raises(ConnectionError):
         connect(f"tcp://127.0.0.1:{port}")
+
+
+def test_stop_while_a_connection_is_closing_logs_no_error(
+    service, monkeypatch, caplog
+):
+    """A stop that cancels a connection parked in its close is the
+    service stopping, not an error for asyncio to log.  The patched
+    ``wait_closed`` never returns, so the stop lands there every time."""
+    parked = threading.Event()
+
+    async def never_closed(self):
+        parked.set()
+        await asyncio.get_running_loop().create_future()
+
+    monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", never_closed)
+    with ServiceClient(service.address) as client:
+        client.stats()
+    assert parked.wait(timeout=5)
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        service.stop()
+    assert [r.getMessage() for r in caplog.records] == []
